@@ -1,6 +1,7 @@
 """Characteristic equation lambda - A - B*exp(-lambda*r) = 0 of the linearized
-delay equation: evaluation, Hopf-point location and verification, and
-argument-principle root counting over rectangles.
+delay equation: evaluation, Hopf-point location and verification, the
+closed-form count of roots with nonnegative real part, and argument-principle
+root counting over rectangles.
 """
 
 from __future__ import annotations
@@ -208,23 +209,40 @@ def count_roots_rect(
     return int(n)
 
 
-def default_audit_rectangle(lin: LinearPart, omega: float) -> tuple[float, float, float, float]:
-    """Rectangle in which exactly the critical pair +-i*omega is expected."""
-    height = (2.0 * math.pi / lin.r) * 6.0
-    return (-1e-6, 10.0 * omega, -height, height)
+def crossing_count(lin: LinearPart, hopf: HopfPoint) -> int:
+    """Number of root pairs that have reached Re >= 0 through the imaginary axis.
+
+    Roots cross the axis only at +-i w, w = sqrt(B^2 - A^2), when the delay
+    passes r_j = (theta + 2 pi j) / w, j >= 0, with cos theta = -A/B and
+    sin theta = -w/B; every crossing moves a pair from left to right (Hayes
+    1950; Cooke & van den Driessche 1986). Counts #{j >= 0 : r_j <= r}. When
+    i * hopf.omega is a root to within hopf.residual (or HOPF_TOL), the
+    nearest crossing is the critical pair itself, on the axis, and counts on
+    whichever side of r_j rounding puts r.
+    """
+    A, B = lin.A, lin.B
+    if abs(B) <= abs(A):
+        return 0
+    omega = math.sqrt((B - A) * (B + A))
+    theta = math.atan2(-omega / B, -A / B) % (2.0 * math.pi)
+    turns = (omega * lin.r - theta) / (2.0 * math.pi)
+    on_axis = abs(char_value(lin, 1j * hopf.omega)) <= max(hopf.residual, HOPF_TOL)
+    return max(0, (round(turns) if on_axis else math.floor(turns)) + 1)
 
 
 def audit_spectrum(lin: LinearPart, hopf: HopfPoint) -> int:
-    """Count roots in the default rectangle; warn (never fail) if not exactly 2.
+    """Number of characteristic roots with Re >= 0; warn (never fail) if not exactly 2.
 
-    The standing assumption that every non-critical eigenvalue has negative
-    real part is the user's responsibility; this is an advisory check.
+    The count is [A + B > 0] + 2 * crossing_count: as r -> 0+ the only root
+    left at finite distance is A + B. The standing assumption that every
+    non-critical eigenvalue has negative real part is the user's
+    responsibility; this is an advisory check.
     """
-    count = count_roots_rect(lin, default_audit_rectangle(lin, hopf.omega))
+    count = (1 if lin.A + lin.B > 0 else 0) + 2 * crossing_count(lin, hopf)
     if count != 2:
         warnings.warn(
-            f"spectrum audit found {count} roots in the audit rectangle (expected 2): "
-            "non-critical eigenvalues with nonnegative real part may exist",
+            f"spectrum audit counted {count} roots with nonnegative real part "
+            "(expected 2, the critical pair alone)",
             SpectrumAuditWarning,
             stacklevel=2,
         )

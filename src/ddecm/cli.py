@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chareq import HOPF_TOL, audit_spectrum, default_audit_rectangle, find_critical_frequency
+from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_frequency
 from .ddesim import SimConfig, integrate_dde, measure_frequency
 from .errors import CenterManifoldError, ModelFileError
 from .modelio import dump_json, load_model_file, report_to_dict
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-grid", help="comma-separated decreasing positive floats for the oracle")
     p.add_argument("--no-oracle", action="store_true", help="skip the perturbation oracle")
     p.add_argument("--audit", action="store_true",
-                   help="count characteristic roots in the default audit rectangle")
+                   help="count characteristic roots with nonnegative real part (closed form)")
 
     p = sub.add_parser("sweep", help="sweep a parameter and locate zeros of l1")
     common(p)
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the delay equation; write a t,x CSV")
     common(p)
 
-    p = sub.add_parser("roots", help="argument-principle root count in the audit rectangle")
+    p = sub.add_parser("roots", help="closed-form count of roots with nonnegative real part")
     common(p)
     return parser
 
@@ -144,10 +144,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
     mf = load_model_file(args.model)
     hopf = find_critical_frequency(mf.model.lin, mf.model.omega_hint, args.tol)
     count = audit_spectrum(mf.model.lin, hopf)
-    rect = default_audit_rectangle(mf.model.lin, hopf.omega)
-    doc = {"count": count, "rectangle": list(rect), "expected": 2, "omega": hopf.omega}
+    k = crossing_count(mf.model.lin, hopf) - 1
+    doc = {"count": count, "crossing": k, "expected": 2, "omega": hopf.omega}
     _write(args.out, dump_json(doc))
-    print(f"roots: {count} root(s) in the audit rectangle (expected 2)")
+    print(f"roots: {count} root(s) with nonnegative real part at crossing {k} (expected 2)")
     return 0
 
 

@@ -75,4 +75,5 @@ class NoConvergenceWarning(UserWarning):
 
 
 class SpectrumAuditWarning(UserWarning):
-    """Root count in the audit rectangle differs from the expected two."""
+    """The count of characteristic roots with nonnegative real part differs
+    from the expected two (the critical pair alone)."""

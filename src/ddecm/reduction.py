@@ -12,6 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 from .chareq import HopfPoint, audit_spectrum, find_critical_frequency, HOPF_TOL
 from .cmcore import (
+    _VALID_KEYS,
     ModelSpec,
     SecondOrder,
     ThirdOrder,
@@ -86,17 +87,22 @@ class SweepResult:
     roots: tuple[float, ...]
 
 
-def _with_param(template: ModelSpec, param: str, value: float) -> ModelSpec:
-    if param == "A":
-        return dataclasses.replace(template, lin=dataclasses.replace(template.lin, A=value))
-    if param == "B":
-        return dataclasses.replace(template, lin=dataclasses.replace(template.lin, B=value))
-    if param.startswith("C"):
-        j, k = (int(part) for part in param[1:].split(","))
-        c = dict(template.C)
-        c[(j, k)] = value
-        return dataclasses.replace(template, C=c)
-    raise ValueError(f"unknown sweep parameter {param!r} (use 'A', 'B' or 'Cj,k')")
+def _taylor_key(param: str) -> tuple[int, int]:
+    """(j, k) of a ``"Cj,k"`` sweep parameter; anything else is rejected.
+
+    Only a Taylor coefficient can be swept: moving A, B or r alone leaves
+    the Hopf point.
+    """
+    try:
+        key = tuple(int(part) for part in param[1:].split(",")) if param.startswith("C") else None
+    except ValueError:
+        key = None
+    if key not in _VALID_KEYS:
+        raise ValueError(
+            f"unknown sweep parameter {param!r}: only a Taylor coefficient 'Cj,k' "
+            "with 2 <= j+k <= 3 can be swept"
+        )
+    return key
 
 
 def l1_of_model(model: ModelSpec, tol: float = HOPF_TOL) -> float:
@@ -116,30 +122,25 @@ def sweep_l1_zeros(
     tol: float = HOPF_TOL,
     jobs: int = 1,
 ) -> SweepResult:
-    """Evaluate l1 over a grid and bisect every sign change to 1e-10.
+    """Evaluate l1 over a grid of one Taylor coefficient ``"Cj,k"`` and
+    bisect every sign change to 1e-10.
 
-    When the swept parameter only touches C entries the spectral data is
-    computed once and reused across grid points.
+    The linear part is fixed, so the spectral data is computed once and
+    reused across grid points.
     """
     if not lo < hi:
         raise ValueError(f"sweep range [{lo}, {hi}] is empty")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    key = _taylor_key(param)
     grid = [lo + (hi - lo) * i / (n_points - 1) for i in range(n_points)]
+    hopf = find_critical_frequency(template.lin, template.omega_hint, tol)
+    eig = build_eigendata(template.lin, hopf)
 
-    if param.startswith("C"):
-        hopf = find_critical_frequency(template.lin, template.omega_hint, tol)
-        eig = build_eigendata(template.lin, hopf)
-
-        def evaluate(value: float) -> float:
-            model = _with_param(template, param, value)
-            so = second_order(model, eig)
-            return lyapunov_l1(assemble_reduced(model, eig, so))
-
-    else:
-
-        def evaluate(value: float) -> float:
-            return l1_of_model(_with_param(template, param, value), tol)
+    def evaluate(value: float) -> float:
+        model = dataclasses.replace(template, C={**template.C, key: value})
+        so = second_order(model, eig)
+        return lyapunov_l1(assemble_reduced(model, eig, so))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

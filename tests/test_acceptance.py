@@ -68,6 +68,7 @@ from conftest import (
     collocation_w21,
     random_hopf_model,
 )
+from test_cmcore import W21_0_C1, W21_0_C2, W21_MR_C1, W21_MR_C2
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -301,12 +302,7 @@ class TestAcceptance:
         """Not a spec criterion: freezes criterion 1's endpoint values to full
         precision (closed form to 1e-9, perturbation extrapolation to 1e-6);
         the collocation oracle reproduces the same numbers (test_cmcore)."""
-        frozen = {
-            C1: (complex(0.34234287212916764, -0.31416585343071735),
-                 complex(1.6331285950690941, -1.8143079872064722)),
-            C2: (complex(-0.6500038584933936, -0.281508067307564),
-                 complex(-4.463278214772915, -1.4116068281802647)),
-        }
+        frozen = {C1: (W21_0_C1, W21_MR_C1), C2: (W21_0_C2, W21_MR_C2)}
         for cval, (want0, wantmr) in frozen.items():
             model = ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): cval})
             w0, wmr = _endpoints(model, bench_eig)

@@ -6,10 +6,11 @@ import math
 import pytest
 
 from ddecm.cli import main
-from ddecm.errors import ModelFileError
+from ddecm.errors import ModelFileError, SpectrumAuditWarning
 from ddecm.modelio import load_model_file, parse_model_document
 
 from conftest import C1, C2, R2_R
+from test_cmcore import W21_0_C1
 
 
 def write_model(tmp_path, name="model.json", **overrides):
@@ -73,7 +74,7 @@ class TestAnalyze:
         assert doc["version"] == 1
         w21_0 = complex(*doc["third_order"]["w21_0"])
         # triple-validated value for this system (see test_cmcore frozen constants)
-        assert abs(w21_0 - complex(0.34234287212916764, -0.31416585343071735)) <= 1e-9
+        assert abs(w21_0 - W21_0_C1) <= 1e-9
         assert abs(doc["l1"]) <= 1e-6
         assert doc["oracle"]["gap"] <= 1e-6
 
@@ -168,6 +169,13 @@ class TestSweep:
         model = write_model(tmp_path, sweep={"param": "C1,1", "min": 4.0, "max": -4.0, "points": 10})
         assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
 
+    @pytest.mark.parametrize("param", ["A", "B", "r", "C1,0", "C2"])
+    def test_only_taylor_coefficients_sweep(self, tmp_path, capsys, param):
+        model = write_model(tmp_path, sweep={"param": param, "min": -1.2, "max": -0.8, "points": 10})
+        assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "error[ValueError]" in err and repr(param) in err and "'Cj,k'" in err
+
     def test_empty_template_empty_roots(self, tmp_path):
         model = write_model(
             tmp_path, C={}, sweep={"param": "C1,1", "min": 3.0, "max": 4.0, "points": 20}
@@ -249,3 +257,16 @@ class TestRoots:
         assert main(["roots", "--model", model, "--out", out]) == 0
         doc = json.loads(open(out).read())
         assert doc["count"] == 2 and doc["expected"] == 2
+        assert doc["crossing"] == 0 and "rectangle" not in doc
+
+    def test_later_crossing_with_unstable_roots(self, tmp_path, capsys):
+        # omega = 1, theta = 4 (B > 0), second crossing: 2 + 2 + [A + B > 0] = 5
+        A, B, r = 1.0 / math.tan(4.0), -1.0 / math.sin(4.0), 4.0 + 2.0 * math.pi
+        model = write_model(tmp_path, A=A, B=B, r=r, omega_hint=None)
+        out = str(tmp_path / "roots.json")
+        with pytest.warns(SpectrumAuditWarning):
+            assert main(["roots", "--model", model, "--out", out]) == 0
+        doc = json.loads(open(out).read())
+        assert doc["count"] == 5 and doc["crossing"] == 1
+        assert doc["omega"] == pytest.approx(1.0, rel=1e-12)
+        assert "crossing 1" in capsys.readouterr().out

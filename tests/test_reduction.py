@@ -99,6 +99,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_l1_zeros(ModelSpec(bench_lin, {}), "Q", 0.0, 1.0, 10)
 
+    @pytest.mark.parametrize("param", ["B", "C1,1,1", "Cx", "C-1,3"])
+    def test_only_taylor_coefficients_sweep(self, bench_lin, param):
+        # moving A or B alone leaves the Hopf point, so only C entries sweep
+        with pytest.raises(ValueError, match="only a Taylor coefficient"):
+            sweep_l1_zeros(ModelSpec(bench_lin, {}), param, -1.2, -0.8, 10)
+
     def test_l1_of_model_matches_sweep_values(self, bench_lin):
         template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
         res = sweep_l1_zeros(template, "C1,1", -1.0, 1.0, 3)
