@@ -15,7 +15,7 @@ from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_freq
 from .ddesim import SimConfig, integrate_dde, measure_frequency
 from .errors import CenterManifoldError, ModelFileError
 from .modelio import dump_json, load_model_file, report_to_dict
-from .perturb import DEFAULT_EPS_GRID, extrapolate_w21
+from .perturb import DEFAULT_EPS_GRID, check_eps_grid, extrapolate_w21
 from .reduction import analyze_model, sweep_l1_zeros
 from .spectral import build_eigendata
 
@@ -40,9 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true",
                    help="count characteristic roots with nonnegative real part (closed form)")
 
-    p = sub.add_parser("sweep", help="sweep a parameter and locate zeros of l1")
+    p = sub.add_parser("sweep", help="sweep a Taylor coefficient; l1 over the grid and its zeros")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid evaluations (default 1)")
 
     p = sub.add_parser("perturb-check", help="perturbation-oracle estimates, extrapolation and gap")
     common(p)
@@ -60,12 +59,9 @@ def _parse_grid(text: str | None, fallback) -> tuple[float, ...] | None:
     if text is None:
         return fallback
     try:
-        vals = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ModelFileError(f"--eps-grid is not a comma-separated float list: {text!r}") from None
-    if len(vals) < 3 or any(v <= 0 for v in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ModelFileError("--eps-grid must be >= 3 strictly decreasing positive floats")
-    return vals
+        return check_eps_grid(text.split(","))
+    except ValueError as exc:
+        raise ModelFileError(f"--eps-grid {text!r}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -92,8 +88,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if mf.sweep is None:
         raise ModelFileError("model file has no sweep block")
     res = sweep_l1_zeros(
-        mf.model, mf.sweep.param, mf.sweep.lo, mf.sweep.hi, mf.sweep.points,
-        tol=args.tol, jobs=args.jobs,
+        mf.model, mf.sweep.param, mf.sweep.lo, mf.sweep.hi, mf.sweep.points, tol=args.tol,
     )
     lines = [("# roots = " + " ".join(f"{root:.12g}" for root in res.roots)).rstrip()]
     lines.append(f"{res.param},l1")

@@ -16,7 +16,7 @@ from .chareq import HopfPoint, LinearPart
 from .cmcore import DegeneracyReport, ModelSpec, SecondOrder, ThirdOrder
 from .errors import ModelFileError
 from .exppoly import ExpMonomial, ExpPoly
-from .perturb import ExtrapolationResult
+from .perturb import ExtrapolationResult, check_eps_grid
 from .reduction import AnalysisReport
 
 REPORT_VERSION = 1
@@ -117,16 +117,15 @@ def parse_model_document(doc: Any) -> ModelFile:
             raise ModelFileError("'perturb' must be an object")
         _reject_unknown(blk, _PERTURB_KEYS, "perturb block")
         grid = blk.get("eps_grid")
-        if not isinstance(grid, list) or len(grid) < 3:
-            raise ModelFileError("perturb 'eps_grid' must be a list of at least 3 numbers")
-        vals = []
+        if not isinstance(grid, list):
+            raise ModelFileError("perturb 'eps_grid' must be a list of numbers")
         for g in grid:
-            if isinstance(g, bool) or not isinstance(g, (int, float)) or g <= 0:
-                raise ModelFileError(f"eps_grid entries must be positive numbers, got {g!r}")
-            vals.append(float(g))
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ModelFileError("eps_grid must be strictly decreasing")
-        eps_grid = tuple(vals)
+            if isinstance(g, bool) or not isinstance(g, (int, float)):
+                raise ModelFileError(f"eps_grid entries must be numbers, got {g!r}")
+        try:
+            eps_grid = check_eps_grid(grid)
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from None
 
     sim = None
     if "sim" in doc:

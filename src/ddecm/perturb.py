@@ -270,6 +270,19 @@ def _neville_at_zero(xs: Sequence[float], ys: Sequence[complex]) -> complex:
 DEFAULT_EPS_GRID = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
+def check_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
+    """``eps_grid`` as a tuple of floats, if it holds at least 3 strictly
+    decreasing positive values; ``ValueError`` otherwise."""
+    grid = tuple(float(e) for e in eps_grid)
+    if len(grid) < 3:
+        raise ValueError(f"eps_grid needs at least 3 entries, got {len(grid)}")
+    if not all(e > 0 for e in grid):
+        raise ValueError(f"eps_grid entries must be positive, got {grid}")
+    if not all(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"eps_grid must be strictly decreasing, got {grid}")
+    return grid
+
+
 def extrapolate_w21(
     model: ModelSpec,
     eig: EigenData,
@@ -278,13 +291,7 @@ def extrapolate_w21(
 ) -> ExtrapolationResult:
     """Solve the perturbed problems on ``eps_grid``, extrapolate to zero, and
     report the gap against the closed-form limit."""
-    grid = tuple(float(e) for e in eps_grid)
-    if len(grid) < 3:
-        raise ValueError("eps_grid needs at least 3 entries")
-    if any(e <= 0 for e in grid):
-        raise ValueError("eps_grid entries must be positive")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("eps_grid must be strictly decreasing")
+    grid = check_eps_grid(eps_grid)
 
     estimates = []
     for eps in grid:

@@ -1,14 +1,20 @@
 """Reduced equation on the center manifold, the first Lyapunov coefficient,
 parameter sweeps for its zeros, and the full analysis pipeline.
+
+``l1`` is exactly quadratic in any single Taylor coefficient ``Cj,k``: the
+second-order coefficients g20, g11, g02 are linear in it and g21 is at most
+quadratic. A sweep therefore fits that quadratic from three evaluations,
+checks it with a fourth, and reads its grid values and zeros from the
+polynomial.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .chareq import HopfPoint, audit_spectrum, find_critical_frequency, HOPF_TOL
 from .cmcore import (
@@ -22,6 +28,7 @@ from .cmcore import (
     degeneracy_report,
     DegeneracyReport,
 )
+from .errors import InconsistencyError
 from .perturb import DEFAULT_EPS_GRID, ExtrapolationResult, extrapolate_w21
 from .spectral import EigenData, bilinear, build_eigendata
 
@@ -105,12 +112,9 @@ def _taylor_key(param: str) -> tuple[int, int]:
     return key
 
 
-def l1_of_model(model: ModelSpec, tol: float = HOPF_TOL) -> float:
-    """Hopf location + full pipeline down to l1 for a single model."""
-    hopf = find_critical_frequency(model.lin, model.omega_hint, tol)
-    eig = build_eigendata(model.lin, hopf)
-    so = second_order(model, eig)
-    return lyapunov_l1(assemble_reduced(model, eig, so))
+# relative disagreement allowed between the fourth evaluation and the quadratic
+# fitted through the other three, in units of |f(lo)| + |f(mid)| + |f(hi)|
+QUADRATIC_CHECK_TOL = 1e-9
 
 
 def sweep_l1_zeros(
@@ -122,18 +126,22 @@ def sweep_l1_zeros(
     tol: float = HOPF_TOL,
     jobs: int = 1,
 ) -> SweepResult:
-    """Evaluate l1 over a grid of one Taylor coefficient ``"Cj,k"`` and
-    bisect every sign change to 1e-10.
+    """l1 over a grid of one Taylor coefficient ``"Cj,k"``, and its zeros.
 
-    The linear part is fixed, so the spectral data is computed once and
-    reused across grid points.
+    ``l1`` is exactly quadratic in the swept coefficient, so the pipeline
+    runs four times whatever ``n_points`` is: at ``lo``, the midpoint and
+    ``hi``, which fix the quadratic, and at ``lo + (hi - lo) / 4``, which
+    must agree with it to ``QUADRATIC_CHECK_TOL`` of the node values' scale
+    or ``InconsistencyError`` is raised. Grid values come from the quadratic.
+    The roots are its simple real zeros in ``[lo, hi]``; a double (tangential)
+    zero is not a sign change and is not reported. The linear part is fixed,
+    so the spectral data is computed once. ``jobs`` is accepted and ignored.
     """
     if not lo < hi:
         raise ValueError(f"sweep range [{lo}, {hi}] is empty")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     key = _taylor_key(param)
-    grid = [lo + (hi - lo) * i / (n_points - 1) for i in range(n_points)]
     hopf = find_critical_frequency(template.lin, template.omega_hint, tol)
     eig = build_eigendata(template.lin, hopf)
 
@@ -142,35 +150,39 @@ def sweep_l1_zeros(
         so = second_order(model, eig)
         return lyapunov_l1(assemble_reduced(model, eig, so))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(evaluate, grid))
-    else:
-        values = [evaluate(v) for v in grid]
+    # the quadratic in t = (x - mid) / half, which maps [lo, hi] onto [-1, 1]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    f_lo, f_mid, f_hi = evaluate(lo), evaluate(mid), evaluate(hi)
+    a, b, c = 0.5 * (f_hi + f_lo) - f_mid, 0.5 * (f_hi - f_lo), f_mid
 
-    roots: list[float] = []
-    for (a, fa), (b, fb) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect(evaluate, a, b, fa))
-    if values and values[-1] == 0.0 and (len(values) < 2 or values[-2] != 0.0):
-        roots.append(grid[-1])
-    return SweepResult(param=param, grid=tuple(grid), values=tuple(values), roots=tuple(sorted(set(roots))))
+    def quad(t: float) -> float:
+        return c + t * (b + t * a)
+
+    x_check = lo + 0.25 * (hi - lo)
+    residual = abs(evaluate(x_check) - quad(-0.5))
+    scale = abs(f_lo) + abs(f_mid) + abs(f_hi)
+    if residual > QUADRATIC_CHECK_TOL * scale:
+        raise InconsistencyError(
+            f"l1 is not quadratic in {param} on [{lo}, {hi}]: at {x_check!r} it differs from "
+            f"the fit by {residual:.3e}, more than {QUADRATIC_CHECK_TOL:g} x {scale:.3e}"
+        )
+
+    grid = [lo + (hi - lo) * i / (n_points - 1) for i in range(n_points)]
+    values = [quad(2.0 * i / (n_points - 1) - 1.0) for i in range(n_points)]
+    roots = [mid + half * t for t in _simple_real_roots(a, b, c) if -1.0 <= t <= 1.0]
+    return SweepResult(param=param, grid=tuple(grid), values=tuple(values), roots=tuple(roots))
 
 
-def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float = 1e-10) -> float:
-    while b - a > xtol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+def _simple_real_roots(a: float, b: float, c: float) -> list[float]:
+    """Ascending simple real zeros of a t^2 + b t + c, without cancellation."""
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:  # no real zero, a double one, or (a = b = 0) no isolated one
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    roots = [c / q]
+    if a != 0.0:
+        roots.append(q / a)
+    return sorted(roots)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,12 @@ import math
 
 import pytest
 
+import ddecm.reduction as reduction
 from ddecm.cli import main
+from ddecm.cmcore import second_order
 from ddecm.errors import ModelFileError, SpectrumAuditWarning
 from ddecm.modelio import load_model_file, parse_model_document
+from ddecm.reduction import lyapunov_l1
 
 from conftest import C1, C2, R2_R
 from test_cmcore import W21_0_C1
@@ -161,6 +164,43 @@ class TestSweep:
         assert abs(roots[0] - C2) <= 1e-5 and abs(roots[1] - C1) <= 1e-5
         assert text.splitlines()[1] == "C1,1,l1"
 
+    def test_root_pair_inside_one_grid_cell(self, tmp_path):
+        model = write_model(
+            tmp_path, C={"2,0": 2.0}, sweep={"param": "C1,1", "min": -4.0, "max": 4.0, "points": 2}
+        )
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--model", model, "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        roots = [float(tok) for tok in lines[0].split("=")[1].split()]
+        assert roots == pytest.approx([C2, C1], abs=1e-9)
+        assert len(lines) == 4
+
+    def test_repeat_runs_byte_identical(self, tmp_path):
+        model = write_model(
+            tmp_path, C={"2,0": 2.0}, sweep={"param": "C1,1", "min": -4.0, "max": 4.0, "points": 200}
+        )
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            assert main(["sweep", "--model", model, "--out", str(tmp_path / name)]) == 0
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_failed_quadratic_check_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a cubic term in the swept value breaks the fourth evaluation's check
+        swept = []
+
+        def recording(model, eig):
+            swept.append(model.c(1, 1))
+            return second_order(model, eig)
+
+        monkeypatch.setattr(reduction, "second_order", recording)
+        monkeypatch.setattr(reduction, "lyapunov_l1", lambda red: lyapunov_l1(red) + 1e-6 * swept[-1] ** 3)
+        model = write_model(
+            tmp_path, C={"2,0": 2.0}, sweep={"param": "C1,1", "min": -4.0, "max": 4.0, "points": 20}
+        )
+        assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "error[InconsistencyError]" in capsys.readouterr().err
+
     def test_missing_sweep_block(self, tmp_path):
         model = write_model(tmp_path)
         assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
@@ -204,6 +244,16 @@ class TestPerturbCheck:
     def test_negative_grid_entry_exit_1(self, tmp_path):
         model = write_model(tmp_path, perturb={"eps_grid": [1e-2, -5e-3, 1e-3]})
         assert main(["perturb-check", "--model", model, "--out", str(tmp_path / "c.json")]) == 1
+
+    def test_nan_grid_entry_exit_1(self, tmp_path, capsys):
+        # the model file and --eps-grid share one validation rule
+        model = write_model(tmp_path, perturb={"eps_grid": [1e-2, math.nan, 1e-3]})
+        assert main(["perturb-check", "--model", model, "--out", str(tmp_path / "c.json")]) == 1
+        model = write_model(tmp_path, name="plain.json")
+        argv = ["perturb-check", "--model", model, "--out", str(tmp_path / "c.json")]
+        assert main(argv + ["--eps-grid", "1e-2,nan,1e-3"]) == 1
+        assert main(argv + ["--eps-grid", "1e-2,x,1e-3"]) == 1
+        assert capsys.readouterr().err.count("error[ModelFileError]") == 3
 
     def test_cli_grid_override(self, tmp_path):
         model = write_model(tmp_path)

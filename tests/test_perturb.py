@@ -276,3 +276,7 @@ class TestExtrapolation:
             extrapolate_w21(bench_model_c1, bench_eig, (1e-2, -5e-3, 1e-3))
         with pytest.raises(ValueError):
             extrapolate_w21(bench_model_c1, bench_eig, (1e-3, 5e-3, 1e-2))
+
+    def test_nan_grid_entry_rejected(self, bench_model_c1, bench_eig):
+        with pytest.raises(ValueError, match="positive"):
+            extrapolate_w21(bench_model_c1, bench_eig, (1e-2, math.nan, 1e-3))

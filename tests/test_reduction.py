@@ -2,16 +2,19 @@
 
 import pytest
 
+import ddecm.reduction as reduction
+from ddecm.chareq import find_critical_frequency
 from ddecm.cmcore import ModelSpec, second_order
+from ddecm.errors import InconsistencyError
 from ddecm.modelio import dump_json, report_from_dict, report_to_dict
 from ddecm.reduction import (
     ReducedEquation,
     analyze_model,
     assemble_reduced,
-    l1_of_model,
     lyapunov_l1,
     sweep_l1_zeros,
 )
+from ddecm.spectral import build_eigendata
 
 from conftest import C1, C2
 
@@ -84,13 +87,6 @@ class TestSweep:
         res = sweep_l1_zeros(template, "C1,1", 3.0, 4.0, 40)
         assert res.roots == ()
 
-    def test_parallel_matches_serial(self, bench_lin):
-        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
-        serial = sweep_l1_zeros(template, "C1,1", -3.0, 3.0, 60)
-        parallel = sweep_l1_zeros(template, "C1,1", -3.0, 3.0, 60, jobs=4)
-        assert serial.values == parallel.values
-        assert serial.roots == parallel.roots
-
     def test_bad_range(self, bench_lin):
         with pytest.raises(ValueError):
             sweep_l1_zeros(ModelSpec(bench_lin, {}), "C1,1", 2.0, -2.0, 10)
@@ -105,12 +101,57 @@ class TestSweep:
         with pytest.raises(ValueError, match="only a Taylor coefficient"):
             sweep_l1_zeros(ModelSpec(bench_lin, {}), param, -1.2, -0.8, 10)
 
-    def test_l1_of_model_matches_sweep_values(self, bench_lin):
+    def test_grid_values_match_pointwise_evaluation(self, bench_lin):
+        # grid values come from the fitted quadratic; each must agree with the
+        # whole public pipeline run at that point
         template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
-        res = sweep_l1_zeros(template, "C1,1", -1.0, 1.0, 3)
-        for c, v in zip(res.grid, res.values):
+        res = sweep_l1_zeros(template, "C1,1", -4.0, 4.0, 200)
+        pointwise = []
+        for c in res.grid:
             model = ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): c}, omega_hint=1.0)
-            assert l1_of_model(model) == pytest.approx(v, abs=1e-14)
+            eig = build_eigendata(model.lin, find_critical_frequency(model.lin, model.omega_hint))
+            pointwise.append(lyapunov_l1(assemble_reduced(model, eig, second_order(model, eig))))
+        scale = max(abs(v) for v in pointwise)
+        assert max(abs(v - p) for v, p in zip(res.values, pointwise)) <= 1e-12 * scale
+
+    def test_root_pair_inside_one_grid_cell(self, bench_lin):
+        # with 2 points the whole range is one cell holding both zeros
+        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
+        res = sweep_l1_zeros(template, "C1,1", -4.0, 4.0, 2)
+        assert res.roots == pytest.approx((C2, C1), abs=1e-9)
+        assert res.grid == (-4.0, 4.0)
+
+    @pytest.mark.parametrize("n_points", [2, 7, 200])
+    def test_four_evaluations_whatever_the_grid(self, bench_lin, monkeypatch, n_points):
+        calls = []
+
+        def counting(model, eig):
+            calls.append(model.c(1, 1))
+            return second_order(model, eig)
+
+        monkeypatch.setattr(reduction, "second_order", counting)
+        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
+        sweep_l1_zeros(template, "C1,1", -4.0, 4.0, n_points)
+        assert sorted(calls) == [-4.0, -2.0, 0.0, 4.0]
+
+    def test_single_root_in_range(self, bench_lin):
+        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
+        res = sweep_l1_zeros(template, "C1,1", 0.0, 4.0, 5)
+        assert res.roots == pytest.approx((C1,), abs=1e-9)
+
+    def test_not_quadratic_raises(self, bench_lin, monkeypatch):
+        # a cubic term in the swept value breaks the fourth evaluation's check
+        swept = []
+
+        def recording(model, eig):
+            swept.append(model.c(1, 1))
+            return second_order(model, eig)
+
+        monkeypatch.setattr(reduction, "second_order", recording)
+        monkeypatch.setattr(reduction, "lyapunov_l1", lambda red: lyapunov_l1(red) + 1e-6 * swept[-1] ** 3)
+        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
+        with pytest.raises(InconsistencyError, match="not quadratic in C1,1"):
+            sweep_l1_zeros(template, "C1,1", -4.0, 4.0, 200)
 
 
 class TestAnalyzeReport:
