@@ -125,7 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     history = sim.history if sim else 0.01
     traj = integrate_dde(mf.model, SimConfig(dt=dt, horizon=horizon, history=history))
     lines = ["t,x"]
-    lines.extend(f"{t:.17g},{x:.17g}" for t, x in zip(traj.times, traj.values))
+    lines.extend(map("{:.17g},{:.17g}".format, traj.times.tolist(), traj.values.tolist()))
     _write(args.out, "\n".join(lines) + "\n")
     try:
         freq = measure_frequency(traj, t_min=10.0 * r)

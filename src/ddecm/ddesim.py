@@ -1,6 +1,11 @@
 """Dynamics-level validation: method-of-steps integration of the full delay
 equation and one-step integration of the reduced equation, plus a
 zero-crossing frequency estimator.
+
+The full equation is stepped on a grid of which the delay is an exact
+multiple, so delayed values are read at grid nodes and at interval midpoints
+(Bellen & Zennaro, Numerical Methods for Delay Differential Equations, 2003,
+ch. 3: the constrained-mesh method of steps).
 """
 
 from __future__ import annotations
@@ -66,22 +71,31 @@ def _history_fn(cfg: SimConfig, r: float):
     return fn
 
 
-def _hermite(x0, m0, x1, m1, theta, h):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        x0 * (2 * t3 - 3 * t2 + 1)
-        + m0 * h * (t3 - 2 * t2 + theta)
-        + x1 * (-2 * t3 + 3 * t2)
-        + m1 * h * (t3 - t2)
-    )
+def _rhs_table(model: ModelSpec) -> list[list[float]]:
+    """``a[p][q]`` with ``f(x, xd) = sum a[p][q] x^p xd^q``: A, B and every
+    C[j, k] / (j! k!) folded once (``ModelSpec`` keeps 2 <= j + k <= 3)."""
+    a = [[0.0] * 4 for _ in range(4)]
+    a[1][0] = model.lin.A
+    a[0][1] = model.lin.B
+    for (j, k), c in model.C.items():
+        a[j][k] = c / (math.factorial(j) * math.factorial(k))
+    return a
 
 
 def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
-    """Classic one-step 4th-order integration with cubic-Hermite delayed lookup.
+    """Classic one-step 4th-order integration on a grid the delay fits exactly.
 
-    The delay is snapped to an exact grid multiple of dt so stage lookups fall
-    inside completed intervals.
+    The step is snapped to dt = r / n_hist, so the delay is an exact multiple
+    of it. The delayed value of every stage then falls on a grid node or on
+    an interval midpoint of a completed interval: with j = i - n_hist, step i
+    reads x[j] at its start, the cubic Hermite at theta = 1/2,
+    (x[j] + x[j+1]) / 2 + dt/8 (m[j] - m[j+1]), at its midpoint, and x[j+1]
+    at its end (m is the slope at each node). For j < 0 the lookups come
+    from the analytic history, exact at every stage point.
+
+    The right-hand side is a cubic in x whose four coefficients are cubics
+    in the delayed value; they are evaluated once per distinct delayed
+    value, twice a step, since the end of one step is the start of the next.
     """
     lin = model.lin
     r = lin.r
@@ -94,42 +108,46 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     n = int(math.ceil(cfg.horizon / dt))
 
     hist = _history_fn(cfg, r)
-    C = model.C
+    a = _rhs_table(model)
+    a01, a02, a03 = a[0][1:]
+    a10, a11, a12 = a[1][:3]
+    a20, a21 = a[2][:2]
+    c3 = a[3][0]
 
-    def rhs(x: float, xd: float) -> float:
-        out = lin.A * x + lin.B * xd
-        for (j, k), c in C.items():
-            out += c * x**j * xd**k / (math.factorial(j) * math.factorial(k))
-        return out
+    def coeffs(xd: float) -> tuple[float, float, float]:
+        # x^0, x^1, x^2 coefficients of f(., xd); the x^3 one is c3
+        return ((a03 * xd + a02) * xd + a01) * xd, (a12 * xd + a11) * xd + a10, a21 * xd + a20
 
-    xs = np.empty(n + 1)
-    ms = np.empty(n + 1)
-    xs[0] = hist(0.0)
-
-    def past(t: float, completed: int) -> float:
-        # value of x at time t <= completed*dt, t >= -r
-        if t <= 0.0:
-            return hist(t)  # the analytic history, exact at every stage point
-        pos = t / dt
-        j = min(int(pos), completed - 1)
-        return _hermite(xs[j], ms[j], xs[j + 1], ms[j + 1], pos - j, dt)
-
+    half, eighth, sixth = 0.5 * dt, 0.125 * dt, dt / 6.0
+    x = hist(0.0)
+    xs = [x]
+    ms = []
+    c0, c1, c2 = coeffs(hist(-r))
     for i in range(n):
-        t = i * dt
-        x = xs[i]
-        if abs(x) > _BLOWUP:
-            raise DivergenceError(f"|x| exceeded {_BLOWUP:g} at t = {t:.6g}", time=t)
-        k1 = rhs(x, past(t - r, i))
-        ms[i] = k1
-        xd_mid = past(t + 0.5 * dt - r, i)
-        k2 = rhs(x + 0.5 * dt * k1, xd_mid)
-        k3 = rhs(x + 0.5 * dt * k2, xd_mid)
-        k4 = rhs(x + dt * k3, past(t + dt - r, i))
-        xs[i + 1] = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    ms[n] = rhs(xs[n], past(n * dt - r, n))
-    if abs(xs[n]) > _BLOWUP:
+        if not abs(x) <= _BLOWUP:  # also catches nan (0 * inf in an overflowing stage)
+            raise DivergenceError(f"|x| exceeded {_BLOWUP:g} at t = {i * dt:.6g}", time=i * dt)
+        j = i - n_hist
+        if j >= 0:
+            xd_mid = 0.5 * (xs[j] + xs[j + 1]) + eighth * (ms[j] - ms[j + 1])
+            xd_end = xs[j + 1]
+        else:
+            xd_mid = hist((j + 0.5) * dt)
+            xd_end = hist((j + 1) * dt)
+        k1 = ((c3 * x + c2) * x + c1) * x + c0
+        ms.append(k1)
+        c0, c1, c2 = coeffs(xd_mid)
+        y = x + half * k1
+        k2 = ((c3 * y + c2) * y + c1) * y + c0
+        y = x + half * k2
+        k3 = ((c3 * y + c2) * y + c1) * y + c0
+        c0, c1, c2 = coeffs(xd_end)
+        y = x + dt * k3
+        k4 = ((c3 * y + c2) * y + c1) * y + c0
+        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        xs.append(x)
+    if not abs(x) <= _BLOWUP:
         raise DivergenceError(f"|x| exceeded {_BLOWUP:g} at t = {n * dt:.6g}", time=n * dt)
-    return Trajectory(times=np.arange(n + 1) * dt, values=xs)
+    return Trajectory(times=np.arange(n + 1) * dt, values=np.array(xs))
 
 
 def integrate_reduced(red: ReducedEquation, u0: complex, cfg: SimConfig) -> Trajectory:
@@ -163,23 +181,26 @@ def integrate_reduced(red: ReducedEquation, u0: complex, cfg: SimConfig) -> Traj
 
 
 def measure_frequency(traj: Trajectory, t_min: float) -> float:
-    """Angular frequency from the mean spacing of zero crossings after t_min."""
+    """Angular frequency from the mean spacing of zero crossings after t_min.
+
+    A sample that is exactly 0.0 is a crossing at its own time; a sign change
+    between two samples is a crossing at the linearly interpolated time.
+    """
     mask = traj.times >= t_min
     ts = traj.times[mask]
     vs = np.real(traj.values[mask])
-    crossings = []
-    for i in range(len(vs) - 1):
-        a, b = vs[i], vs[i + 1]
-        if a == 0.0:
-            crossings.append(ts[i])
-        elif a * b < 0.0:
-            crossings.append(ts[i] - a * (ts[i + 1] - ts[i]) / (b - a))
+    a, b = vs[:-1], vs[1:]
+    change = a * b < 0.0
+    crossings = ts[:-1].copy()
+    lo, hi = ts[:-1][change], ts[1:][change]
+    crossings[change] = lo - a[change] * (hi - lo) / (b[change] - a[change])
+    crossings = crossings[change | (a == 0.0)]
     if len(crossings) < 5:
         raise TooFewCrossingsError(
             f"only {len(crossings)} zero crossings after t = {t_min:g}; need at least 5"
         )
     spacing = (crossings[-1] - crossings[0]) / (len(crossings) - 1)
-    return math.pi / spacing
+    return math.pi / float(spacing)
 
 
 def manifold_history(

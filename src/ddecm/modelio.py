@@ -56,13 +56,19 @@ def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str) -> No
             raise ModelFileError(f"unknown key {key!r} in {where}")
 
 
+def _float(val: Any, what: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ModelFileError(f"{what} must be a number, got {val!r}")
+    try:
+        return float(val)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ModelFileError(f"{what} is too large for a float") from None
+
+
 def _number(doc: Mapping[str, Any], key: str, where: str) -> float:
     if key not in doc:
         raise ModelFileError(f"missing key {key!r} in {where}")
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ModelFileError(f"key {key!r} in {where} must be a number, got {val!r}")
-    return float(val)
+    return _float(doc[key], f"key {key!r} in {where}")
 
 
 def parse_model_document(doc: Any) -> ModelFile:
@@ -82,9 +88,7 @@ def parse_model_document(doc: Any) -> ModelFile:
             j, k = int(parts[0]), int(parts[1])
         except (ValueError, IndexError):
             raise ModelFileError(f"C key {key!r} is not of the form \"j,k\"") from None
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ModelFileError(f"C[{key!r}] must be a number, got {val!r}")
-        C[(j, k)] = float(val)
+        C[(j, k)] = _float(val, f"C[{key!r}]")
     omega_hint = None
     if doc.get("omega_hint") is not None:
         omega_hint = _number(doc, "omega_hint", "model document")

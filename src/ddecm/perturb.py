@@ -272,12 +272,15 @@ DEFAULT_EPS_GRID = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 def check_eps_grid(eps_grid: Sequence[float]) -> tuple[float, ...]:
     """``eps_grid`` as a tuple of floats, if it holds at least 3 strictly
-    decreasing positive values; ``ValueError`` otherwise."""
-    grid = tuple(float(e) for e in eps_grid)
+    decreasing positive finite values; ``ValueError`` otherwise."""
+    try:
+        grid = tuple(float(e) for e in eps_grid)
+    except OverflowError:
+        raise ValueError("eps_grid entries must fit in a float") from None
     if len(grid) < 3:
         raise ValueError(f"eps_grid needs at least 3 entries, got {len(grid)}")
-    if not all(e > 0 for e in grid):
-        raise ValueError(f"eps_grid entries must be positive, got {grid}")
+    if not all(0 < e < math.inf for e in grid):
+        raise ValueError(f"eps_grid entries must be positive and finite, got {grid}")
     if not all(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"eps_grid must be strictly decreasing, got {grid}")
     return grid

@@ -8,6 +8,7 @@ import pytest
 import ddecm.reduction as reduction
 from ddecm.cli import main
 from ddecm.cmcore import second_order
+from ddecm.ddesim import SimConfig, integrate_dde
 from ddecm.errors import ModelFileError, SpectrumAuditWarning
 from ddecm.modelio import load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
@@ -66,6 +67,18 @@ class TestModelFile:
             parse_model_document({**base, "perturb": {"eps_grid": [1e-2, -5e-3, 1e-3]}})
         with pytest.raises(ModelFileError):
             parse_model_document({**base, "perturb": {"eps_grid": [1e-3, 5e-3, 1e-2]}})
+
+    @pytest.mark.parametrize("command", ["roots", "analyze"])
+    @pytest.mark.parametrize("field", [
+        {"r": 10**400},
+        {"C": {"2,0": 2.0, "1,1": -(10**400)}},
+        {"perturb": {"eps_grid": [1e-2, 10**400, 1e-3]}},
+        {"perturb": {"eps_grid": [math.inf, 1e-2, 1e-3]}},
+    ], ids=["r", "C", "eps_grid", "eps_grid_infinity"])
+    def test_number_too_large_for_float_exit_1(self, tmp_path, capsys, command, field):
+        model = write_model(tmp_path, **field)
+        assert main([command, "--model", model, "--out", str(tmp_path / "out.json")]) == 1
+        assert "error[ModelFileError]" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -290,6 +303,17 @@ class TestSimulate:
         ]
         period = 2 * (crossings[-1] - crossings[0]) / (len(crossings) - 1)
         assert abs(period - 2 * math.pi) <= 0.01 * 2 * math.pi
+
+    def test_csv_matches_numpy_scalar_rendering(self, tmp_path):
+        model = write_model(tmp_path, sim={"history": 0.01})
+        out = str(tmp_path / "traj.csv")
+        assert main(["simulate", "--model", model, "--out", out]) == 0
+        mf = load_model_file(model)
+        r = mf.model.lin.r
+        traj = integrate_dde(mf.model, SimConfig(dt=r / 40.0, horizon=50.0 * r, history=0.01))
+        lines = ["t,x"]
+        lines.extend(f"{t:.17g},{x:.17g}" for t, x in zip(traj.times, traj.values))
+        assert open(out).read() == "\n".join(lines) + "\n"
 
     @pytest.mark.filterwarnings("ignore:history amplitude")
     def test_blow_up_exit_2(self, tmp_path, capsys):

@@ -280,3 +280,9 @@ class TestExtrapolation:
     def test_nan_grid_entry_rejected(self, bench_model_c1, bench_eig):
         with pytest.raises(ValueError, match="positive"):
             extrapolate_w21(bench_model_c1, bench_eig, (1e-2, math.nan, 1e-3))
+
+    def test_entry_too_large_for_float_rejected(self, bench_model_c1, bench_eig):
+        with pytest.raises(ValueError, match="fit in a float"):
+            extrapolate_w21(bench_model_c1, bench_eig, (10**400, 1e-2, 1e-3))
+        with pytest.raises(ValueError, match="finite"):
+            extrapolate_w21(bench_model_c1, bench_eig, (math.inf, 1e-2, 1e-3))
