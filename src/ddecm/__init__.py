@@ -13,9 +13,11 @@ from .chareq import (
     verify_hopf,
 )
 from .cmcore import (
+    CubicStage,
     ModelSpec,
     SecondOrder,
     ThirdOrder,
+    cubic_stage,
     degeneracy_report,
     second_order,
     third_order,
@@ -28,12 +30,10 @@ from .ddesim import SimConfig, Trajectory, integrate_dde, integrate_reduced, mea
 from .errors import CenterManifoldError, ModelFileError
 from .exppoly import ExpMonomial, ExpPoly
 from .perturb import (
-    PerturbedCoeffs,
     PerturbedProblem,
     extrapolate_w21,
-    h_decomposition,
     make_perturbed,
-    perturbed_coeffs,
+    perturbed_stage,
     solve_perturbed_w21,
 )
 from .reduction import (
@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "CenterManifoldError",
+    "CubicStage",
     "EigenData",
     "ExpMonomial",
     "ExpPoly",
@@ -58,7 +59,6 @@ __all__ = [
     "LinearPart",
     "ModelFileError",
     "ModelSpec",
-    "PerturbedCoeffs",
     "PerturbedProblem",
     "ReducedEquation",
     "SecondOrder",
@@ -71,17 +71,17 @@ __all__ = [
     "build_eigendata",
     "char_value",
     "count_roots_rect",
+    "cubic_stage",
     "degeneracy_report",
     "extrapolate_w21",
     "find_critical_frequency",
     "find_hopf_parameter",
-    "h_decomposition",
     "integrate_dde",
     "integrate_reduced",
     "lyapunov_l1",
     "make_perturbed",
     "measure_frequency",
-    "perturbed_coeffs",
+    "perturbed_stage",
     "project_coordinates",
     "second_order",
     "solve_perturbed_w21",

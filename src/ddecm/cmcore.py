@@ -1,10 +1,14 @@
-"""Center-manifold coefficients at criticality.
+"""Center-manifold coefficients: the quadratic and the cubic stage.
 
-Second-order solves, the third-order right-hand sides, the degeneracy
-identities of the singular w21 system, and the regularized limit formula for
-w21(0). The quadratic machinery is shared with the perturbed problem: it is
-written for a general critical/near-critical eigenvalue ``lam`` (``mu = Re
-lam`` is exactly 0 at criticality) so both call sites use one code path.
+Both stages are written once, for an eigenvalue ``lam = mu + i w`` of the
+linear part: ``mu = 0`` is the critical problem, and the perturbation oracle
+(``perturb``) calls the same functions at ``mu > 0``. Every w profile is a
+sum of three exponentials, kept as its (coeff, rate) pairs, so the kernel
+integrals and pairings of the cubic stage are scalar sums of
+``exppoly.moment``; ExpPoly profiles are built only when asked for (the
+report serializes them). At criticality the cubic stage also yields the
+degeneracy identities of the singular w21 system and the admissible w21(0),
+the regularized limit h1/h2 of the perturbed solves.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .chareq import LinearPart
@@ -21,12 +26,15 @@ from .errors import (
     ResonanceError,
     ZeroEigenvalueError,
 )
-from .exppoly import ExpMonomial, ExpPoly
-from .spectral import EigenData, bilinear
+from .exppoly import ExpMonomial, ExpPoly, moment
+from .spectral import EigenData
 
 _ORDER2 = ((2, 0), (1, 1), (0, 2))
 _ORDER3 = ((3, 0), (2, 1), (1, 2), (0, 3))
 _VALID_KEYS = frozenset(_ORDER2) | frozenset(_ORDER3)
+
+# the (coeff, rate) pairs of a profile sum_i coeff_i e^{rate_i s} on [-r, 0]
+Terms = tuple[tuple[complex, complex], ...]
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SecondOrder:
-    """Quadratic data: f/g coefficients and the w profiles with endpoints."""
+    """Quadratic data: f/g coefficients, and each w profile as its endpoints
+    and its three (coeff, rate) terms on [-r, 0]. The ExpPoly profiles
+    ``w20``, ``w11``, ``w02`` are built on first use."""
 
     f20: complex
     f11: complex
@@ -65,23 +75,38 @@ class SecondOrder:
     g20: complex
     g11: complex
     g02: complex
-    w20: ExpPoly
-    w11: ExpPoly
-    w02: ExpPoly
     w20_0: complex
     w20_mr: complex
     w11_0: complex
     w11_mr: complex
     w02_0: complex
     w02_mr: complex
+    t20: Terms
+    t11: Terms
+    t02: Terms
+    r: float
+
+    @property
+    def forcing_weights(self) -> tuple[complex, complex, complex]:
+        """Weights of w20, w11, w02 in the w21 forcing: 2 g11, g20 + 2 conj(g11), conj(g02)."""
+        return 2 * self.g11, self.g20 + 2 * self.g11.conjugate(), self.g02.conjugate()
+
+    @cached_property
+    def w20(self) -> ExpPoly:
+        return profile_poly(self.t20, self.r)
+
+    @cached_property
+    def w11(self) -> ExpPoly:
+        return profile_poly(self.t11, self.r)
+
+    @cached_property
+    def w02(self) -> ExpPoly:
+        return profile_poly(self.t02, self.r)
 
 
-class ThirdOrderRhs(NamedTuple):
-    f21: complex
-    g21: complex
-    g12_bar: complex
-    R1: complex
-    R2: complex
+def profile_poly(terms: Terms, r: float) -> ExpPoly:
+    """The profile ``sum coeff e^{rate s}`` on [-r, 0] as an ExpPoly."""
+    return ExpPoly(tuple(ExpMonomial(c, rate, 0) for c, rate in terms), (-r, 0.0))
 
 
 @dataclass(frozen=True)
@@ -111,8 +136,8 @@ class DegeneracyReport:
 
 
 # ---------------------------------------------------------------------------
-# shared quadratic core (lam = i*omega at criticality, mu_eps + i*omega_eps
-# for the perturbed problem)
+# quadratic stage (lam = i*omega at criticality, mu_eps + i*omega_eps for the
+# perturbed problem)
 
 
 def quadratic_data(
@@ -126,7 +151,7 @@ def quadratic_data(
     det_tol_w11: float = 1e-10,
     perturbed: bool = False,
 ) -> SecondOrder:
-    """Solve both quadratic boundary systems and assemble the w profiles."""
+    """Solve both quadratic boundary systems and collect the profiles' terms."""
     mu = lam.real
     lamb = lam.conjugate()
     elr = cmath.exp(-lam * r)
@@ -140,7 +165,6 @@ def quadratic_data(
     f02 = C20 + 2 * C11 * elbr + C02 * e2lr.conjugate()
     g20, g11, g02 = psi0 * f20, psi0 * f11, psi0 * f02
     gb11, gb02 = g11.conjugate(), g02.conjugate()
-    dom = (-r, 0.0)
 
     # w20: rows (-e^{-2 lam r}, 1), (A - 2 lam, B)
     det20 = 2 * lam - A - B * e2lr
@@ -155,14 +179,7 @@ def quadratic_data(
     rhs2 = g20 + gb02 - f20
     w20_0 = (rhs1 * B - rhs2) / det20
     w20_mr = (-e2lr * rhs2 - (A - 2 * lam) * rhs1) / det20
-    w20 = ExpPoly(
-        (
-            _term(w20_0 + g20 / lam + gb02 / rr, 2 * lam),
-            _term(-g20 / lam, lam),
-            _term(-gb02 / rr, lamb),
-        ),
-        dom,
-    )
+    t20 = ((w20_0 + g20 / lam + gb02 / rr, 2 * lam), (-g20 / lam, lam), (-gb02 / rr, lamb))
 
     # w11: rows (-e^{-2 mu r}, 1), (A - 2 mu, B)
     det11 = 2 * mu - A - B * e2mr
@@ -178,27 +195,22 @@ def quadratic_data(
     rhs2b = g11 + gb11 - f11
     w11_0 = (rhs1b * B - rhs2b) / det11
     w11_mr = (-e2mr * rhs2b - (A - 2 * mu) * rhs1b) / det11
-    w11 = ExpPoly(
-        (
-            _term(w11_0 + g11 / lamb + gb11 / lam, 2 * mu),
-            _term(-g11 / lamb, lam),
-            _term(-gb11 / lam, lamb),
-        ),
-        dom,
-    )
+    t11 = ((w11_0 + g11 / lamb + gb11 / lam, complex(2 * mu)), (-g11 / lamb, lam), (-gb11 / lam, lamb))
 
-    w02 = w20.conjugate()
+    for c, _ in t20 + t11:
+        if not cmath.isfinite(c):
+            raise ValueError(f"coeff must be finite, got {c!r}")
     return SecondOrder(
         f20=f20, f11=f11, f02=f02, g20=g20, g11=g11, g02=g02,
-        w20=w20, w11=w11, w02=w02,
         w20_0=w20_0, w20_mr=w20_mr,
         w11_0=w11_0, w11_mr=w11_mr,
         w02_0=w20_0.conjugate(), w02_mr=w20_mr.conjugate(),
+        t20=t20, t11=t11, t02=tuple((c.conjugate(), rate.conjugate()) for c, rate in t20), r=r,
     )
 
 
-def _term(coeff: complex, rate: complex) -> ExpMonomial:
-    return ExpMonomial(coeff, rate, 0)
+# ---------------------------------------------------------------------------
+# cubic stage at a general lam; criticality is mu = 0
 
 
 def cubic_f21(model: ModelSpec, lam: complex, so: SecondOrder, r: float) -> complex:
@@ -219,6 +231,138 @@ def cubic_f21(model: ModelSpec, lam: complex, so: SecondOrder, r: float) -> comp
     )
 
 
+def _kernel_integral(terms: Terms, shift: complex, r: float, k: int = 0) -> complex:
+    """int_{-r}^0 s^k w(s) e^{-shift s} ds for the profile w with these terms."""
+    return sum((c * moment(rate - shift, k, -r, 0.0) for c, rate in terms), 0j)
+
+
+class CubicStage(NamedTuple):
+    """The w21 boundary system at an eigenvalue ``lam = mu + i w`` of
+    x' = A x + B x(t - r), with ``nu = 2 lam + conj(lam)``.
+
+    Its rows are ``-e^{-nu r} w21(0) + w21(-r) = R1`` and
+    ``-(nu - A) w21(0) + B w21(-r) = R2``, with determinant ``Delta``;
+    ``i20``, ``i11``, ``i02`` are the kernel integrals
+    ``int_{-r}^0 w_jk(s) e^{-nu s} ds``. At ``mu = 0`` the rows are
+    dependent and ``degeneracy`` holds the residuals of the four identities
+    that show it; at ``mu > 0`` ``lam`` must be a root of the characteristic
+    equation, which ``Delta`` is reduced by.
+    """
+
+    A: float
+    B: float
+    r: float
+    lam: complex
+    psi0: complex
+    so: SecondOrder
+    f21: complex
+    g21: complex
+    g12_bar: complex
+    i20: complex
+    i11: complex
+    i02: complex
+    R1: complex
+    R2: complex
+    Delta: complex
+    degeneracy: DegeneracyReport
+
+    def pairings(self) -> tuple[complex, complex, complex, complex]:
+        """``<Psi1, rho> + <Psi2, rho>`` and ``<rho~, w_jk>`` for jk = 20, 11, 02.
+
+        ``Psi1 = psi0 e^{-lam z}`` on [0, r] is the normalized adjoint
+        eigenfunction and ``Psi2`` its conjugate. At ``mu > 0`` the kernels
+        are the exact two-term forms ``rho(s) = (e^{lam s} - e^{nu s}) / mu``
+        and ``rho~(z) = (e^{-nu z} - e^{-lam z}) / mu``; at ``mu = 0``, where
+        that form cannot be evaluated, their limits, the resonant kernels
+        ``-2 s e^{i w s}`` and ``-2 z e^{-i w z}``. Both kernels vanish at 0,
+        so each pairing is its B-weighted integral alone.
+        """
+        B, r, lam, so = self.B, self.r, self.lam, self.so
+        mu = lam.real
+        lamb = lam.conjugate()
+        nu = 2 * lam + lamb
+        elr = cmath.exp(-lam * r)
+        if mu == 0.0:
+            k1 = -2.0 * moment(0j, 1, -r, 0.0)
+            k2 = -2.0 * moment(lam - lamb, 1, -r, 0.0)
+
+            def tilde(terms: Terms, i: complex) -> complex:
+                return -2.0 * B * elr * (_kernel_integral(terms, lam, r, 1) + r * i)
+        else:
+            k1 = (r - moment(nu - lam, 0, -r, 0.0)) / mu
+            k2 = (moment(lam - lamb, 0, -r, 0.0) - moment(nu - lamb, 0, -r, 0.0)) / mu
+            enur = cmath.exp(-nu * r)
+
+            def tilde(terms: Terms, i: complex) -> complex:
+                return B * (enur * i - elr * _kernel_integral(terms, lam, r)) / mu
+
+        pair_rho = B * (self.psi0 * elr * k1 + (self.psi0 * elr).conjugate() * k2)
+        return (pair_rho,) + tuple(
+            tilde(t, i) for t, i in zip((so.t20, so.t11, so.t02), (self.i20, self.i11, self.i02))
+        )
+
+    def h(self) -> tuple[complex, complex]:
+        """``(h1, h2)`` with ``B R1 - R2 = mu h1`` and ``Delta = mu h2``.
+
+        Both stay finite as ``mu -> 0``, and at ``mu = 0`` they are those
+        limits, so ``h1 / h2`` is w21(0) arbitrarily close to and at
+        criticality.
+        """
+        A, B, r, lam = self.A, self.B, self.r, self.lam
+        mu = lam.real
+        if mu == 0.0:
+            h2 = 2 * r * lam.imag * 1j - 2 * r * A + 2.0
+        else:
+            h2 = B * cmath.exp(-lam * r) * (-math.expm1(-2 * mu * r) / mu) + 2.0
+        pair_rho, *pairs = self.pairings()
+        h1 = self.f21 * pair_rho - sum(c * p for c, p in zip(self.so.forcing_weights, pairs))
+        return h1, h2
+
+
+def cubic_stage(
+    A: float, B: float, r: float, lam: complex, psi0: complex, model: ModelSpec, so: SecondOrder
+) -> CubicStage:
+    """f21, g21, conj(g12), the kernel integrals, R1, R2, Delta and the
+    degeneracy residuals of the w21 system at ``lam`` (see :class:`CubicStage`)."""
+    mu = lam.real
+    lamb = lam.conjugate()
+    nu = 2 * lam + lamb
+    elr = cmath.exp(-lam * r)
+    elbr = cmath.exp(-lamb * r)
+    enur = cmath.exp(-nu * r)
+    f21 = cubic_f21(model, lam, so, r)
+    g21 = psi0 * f21
+    g12_bar = psi0.conjugate() * f21  # f12 = conj(f21): the nonlinearity is real
+    if mu == 0.0:
+        Delta = nu - A - B * enur
+        E = r
+    else:
+        # reduced by the characteristic equation with expm1: the raw
+        # determinant and (e^{-lam r} - e^{-nu r}) / (2 mu) lose every digit as mu -> 0
+        em = -math.expm1(-2 * mu * r)
+        Delta = B * elr * em + 2 * mu
+        E = em / (2 * mu)
+
+    i = tuple(_kernel_integral(t, nu, r) for t in (so.t20, so.t11, so.t02))
+    weights = so.forcing_weights
+    direct = -g21 * elr * E - (g12_bar / (2 * lam)) * (elbr - enur)
+    R1 = direct - enur * sum(c * v for c, v in zip(weights, i))
+    R2 = g21 + g12_bar - f21 + sum(c * v for c, v in zip(weights, (so.w20_0, so.w11_0, so.w02_0)))
+    # B e^{-nu r} i_jk = -w_jk(0), each weighted as in R1 and R2
+    res2, res3, res4 = (
+        abs(c * (B * enur * v + w0)) for c, v, w0 in zip(weights, i, (so.w20_0, so.w11_0, so.w02_0))
+    )
+    deg = DegeneracyReport(
+        Delta=Delta,
+        residual_R1=abs(B * direct - (g21 + g12_bar - f21)),
+        residual_R2=res2,
+        residual_R3=res3,
+        residual_R4=res4,
+        BR1_minus_R2=abs(B * R1 - R2),
+    )
+    return CubicStage(A, B, r, lam, psi0, so, f21, g21, g12_bar, *i, R1, R2, Delta, deg)
+
+
 # ---------------------------------------------------------------------------
 # critical (unperturbed) pipeline
 
@@ -229,97 +373,27 @@ def second_order(model: ModelSpec, eig: EigenData) -> SecondOrder:
     return quadratic_data(lin.A, lin.B, lin.r, 1j * eig.omega, eig.Psi1_at_0, model)
 
 
-def third_order_rhs(model: ModelSpec, eig: EigenData, so: SecondOrder) -> ThirdOrderRhs:
-    """f21, g21, conj(g12) and the right-hand sides R1, R2 of the singular system."""
+def third_order_rhs(model: ModelSpec, eig: EigenData, so: SecondOrder) -> CubicStage:
+    """The cubic stage at the Hopf point itself (mu = 0)."""
     lin = model.lin
-    w, r, B = eig.omega, lin.r, lin.B
-    elr = cmath.exp(-1j * w * r)
-    eplr = cmath.exp(1j * w * r)
-    f21 = cubic_f21(model, 1j * w, so, r)
-    g21 = eig.Psi1_at_0 * f21
-    g12_bar = eig.Psi1_at_0.conjugate() * f21  # f12 = conj(f21): the nonlinearity is real
-
-    kernel = ExpPoly.monomial(1.0, -1j * w, 0, (-r, 0.0))
-    i20 = (so.w20 * kernel).integrate()
-    i11 = (so.w11 * kernel).integrate()
-    i02 = (so.w02 * kernel).integrate()
-    gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
-
-    R1 = (
-        -g21 * r * elr
-        + (1j / (2 * w)) * g12_bar * (eplr - elr)
-        - 2 * so.g11 * elr * i20
-        - (so.g20 + 2 * gb11) * elr * i11
-        - gb02 * elr * i02
-    )
-    R2 = (
-        g21
-        + g12_bar
-        - f21
-        + 2 * so.g11 * so.w20_0
-        + (so.g20 + 2 * gb11) * so.w11_0
-        + gb02 * so.w02_0
-    )
-    return ThirdOrderRhs(f21, g21, g12_bar, R1, R2)
+    return cubic_stage(lin.A, lin.B, lin.r, 1j * eig.omega, eig.Psi1_at_0, model, so)
 
 
 def degeneracy_report(model: ModelSpec, eig: EigenData, so: SecondOrder) -> DegeneracyReport:
     """Residuals of the four identities proving the two system rows dependent."""
-    lin = model.lin
-    w, r, B = eig.omega, lin.r, lin.B
-    elr = cmath.exp(-1j * w * r)
-    eplr = cmath.exp(1j * w * r)
-    rhs = third_order_rhs(model, eig, so)
-    gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
-
-    kernel = ExpPoly.monomial(1.0, -1j * w, 0, (-r, 0.0))
-    i20 = (so.w20 * kernel).integrate()
-    i11 = (so.w11 * kernel).integrate()
-    i02 = (so.w02 * kernel).integrate()
-
-    res1 = abs(
-        B * (-rhs.g21 * r * elr + (1j / (2 * w)) * rhs.g12_bar * (eplr - elr))
-        - (rhs.g21 + rhs.g12_bar - rhs.f21)
-    )
-    res2 = abs(-2 * B * so.g11 * elr * i20 - 2 * so.g11 * so.w20_0)
-    res3 = abs(-B * (so.g20 + 2 * gb11) * elr * i11 - (so.g20 + 2 * gb11) * so.w11_0)
-    res4 = abs(-B * gb02 * elr * i02 - gb02 * so.w02_0)
-    return DegeneracyReport(
-        Delta=1j * w - lin.A - B * elr,
-        residual_R1=res1,
-        residual_R2=res2,
-        residual_R3=res3,
-        residual_R4=res4,
-        BR1_minus_R2=abs(B * rhs.R1 - rhs.R2),
-    )
+    return third_order_rhs(model, eig, so).degeneracy
 
 
-def resonant_kernels(omega: float, r: float) -> tuple[ExpPoly, ExpPoly]:
-    """rho(s) = -2 s e^{i w s} on [-r, 0] and rho-tilde(z) = -2 z e^{-i w z} on [0, r]."""
-    rho = ExpPoly.monomial(-2.0, 1j * omega, 1, (-r, 0.0))
-    rho_t = ExpPoly.monomial(-2.0, -1j * omega, 1, (0.0, r))
-    return rho, rho_t
-
-
-def w21_at_zero(model: ModelSpec, eig: EigenData, so: SecondOrder, f21: complex) -> complex:
-    """The admissible w21(0): limit of the perturbed solves as the perturbation vanishes."""
-    lin = model.lin
-    w, r = eig.omega, lin.r
-    den = 2 * r * w * 1j - 2 * r * lin.A + 2.0
-    if abs(den) <= 1e-10:
+def w21_at_zero(stage: CubicStage) -> complex:
+    """w21(0) = h1/h2: at mu = 0 the admissible value, the limit of the
+    perturbed solves as the perturbation vanishes."""
+    h1, h2 = stage.h()
+    if abs(h2) <= 1e-10:
         raise DegenerateSystemError(
-            f"limit denominator 2 r w i - 2 r A + 2 is numerically zero ({abs(den):.3e})"
+            f"regularized denominator h2 (2 r w i - 2 r A + 2 at criticality) is "
+            f"numerically zero ({abs(h2):.3e})"
         )
-    rho, rho_t = resonant_kernels(w, r)
-    pair_rho = bilinear(eig.Psi1, rho, lin) + bilinear(eig.Psi2, rho, lin)
-    gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
-    num = (
-        f21 * pair_rho
-        - 2 * so.g11 * bilinear(rho_t, so.w20, lin)
-        - (so.g20 + 2 * gb11) * bilinear(rho_t, so.w11, lin)
-        - gb02 * bilinear(rho_t, so.w02, lin)
-    )
-    return num / den
+    return h1 / h2
 
 
 def w21_at_minus_r(
@@ -342,46 +416,54 @@ def w21_at_minus_r(
     return value
 
 
-def w21_profile(model: ModelSpec, eig: EigenData, so: SecondOrder, w21_0: complex) -> ExpPoly:
-    """Integrate the w21 equation from s = 0 in closed form.
+def w21_profile(
+    model: ModelSpec,
+    eig: EigenData,
+    so: SecondOrder,
+    w21_0: complex,
+    stage: CubicStage | None = None,
+) -> ExpPoly:
+    """Integrate the w21 equation w' = i w w + forcing from s = 0 in closed form.
 
-    The forcing component at rate i*omega is resonant and yields the secular
-    s * e^{i w s} term.
+    The forcing is g21 e^{i w s} + conj(g12) e^{-i w s} plus the quadratic
+    profiles' terms, collected by rate. A component at rate rho != i w
+    integrates to coeff / (rho - i w) e^{rho s}; the one at rate i w is
+    resonant and yields the secular s e^{i w s} term.
     """
-    lin = model.lin
-    w, r = eig.omega, lin.r
-    dom = (-r, 0.0)
-    rhs = third_order_rhs(model, eig, so)
-    gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
-    forcing = (
-        ExpPoly.monomial(rhs.g21, 1j * w, 0, dom)
-        + ExpPoly.monomial(rhs.g12_bar, -1j * w, 0, dom)
-        + so.w20.scale(2 * so.g11)
-        + so.w11.scale(so.g20 + 2 * gb11)
-        + so.w02.scale(gb02)
-    )
-    # w(s) = e^{nu s} [w(0) + int_0^s e^{-nu t} forcing(t) dt],  nu = i*omega
-    nu = 1j * w
-    prim = forcing.mul_exp(-nu).antiderivative()
-    inner = prim + ExpPoly.constant(w21_0 - prim.eval(0.0), dom)
-    return inner.mul_exp(nu)
+    st = third_order_rhs(model, eig, so) if stage is None else stage
+    nu = 1j * eig.omega
+    forcing = {nu: st.g21, -nu: st.g12_bar}
+    for factor, terms in zip(so.forcing_weights, (so.t20, so.t11, so.t02)):
+        for c, rate in terms:
+            forcing[rate] = forcing.get(rate, 0j) + factor * c
+    terms = [ExpMonomial(forcing.pop(nu), nu, 1)]
+    const = w21_0
+    for rate, a in forcing.items():
+        c = a / (rate - nu)
+        terms.append(ExpMonomial(c, rate, 0))
+        const -= c
+    terms.append(ExpMonomial(const, nu, 0))
+    return ExpPoly(terms, (-model.lin.r, 0.0))
 
 
-def third_order(model: ModelSpec, eig: EigenData, so: SecondOrder) -> ThirdOrder:
-    """Assemble the full cubic stage: rhs, degeneracy residual, limit w21, profile."""
-    rhs = third_order_rhs(model, eig, so)
-    rep = degeneracy_report(model, eig, so)
-    w0 = w21_at_zero(model, eig, so, rhs.f21)
-    wmr = w21_at_minus_r(model.lin, eig, w0, rhs.R1, rhs.R2)
+def third_order(
+    model: ModelSpec, eig: EigenData, so: SecondOrder, stage: CubicStage | None = None
+) -> ThirdOrder:
+    """Assemble the critical cubic stage: rhs, degeneracy residual, limit w21,
+    profile. ``stage`` is the stage from :func:`third_order_rhs`, if the
+    caller already has it."""
+    st = third_order_rhs(model, eig, so) if stage is None else stage
+    w0 = w21_at_zero(st)
+    wmr = w21_at_minus_r(model.lin, eig, w0, st.R1, st.R2)
     return ThirdOrder(
-        f21=rhs.f21,
-        g21=rhs.g21,
-        g12_bar=rhs.g12_bar,
-        R1=rhs.R1,
-        R2=rhs.R2,
-        Delta=rep.Delta,
-        degeneracy_residual=rep.BR1_minus_R2,
+        f21=st.f21,
+        g21=st.g21,
+        g12_bar=st.g12_bar,
+        R1=st.R1,
+        R2=st.R2,
+        Delta=st.Delta,
+        degeneracy_residual=st.degeneracy.BR1_minus_R2,
         w21_0=w0,
         w21_mr=wmr,
-        w21=w21_profile(model, eig, so, w0),
+        w21=w21_profile(model, eig, so, w0, st),
     )

@@ -1,10 +1,12 @@
 """Exact algebra for exponential polynomials sum_i c_i * s^k_i * exp(l_i * s).
 
-Every function manipulated by the reduction pipeline (eigenfunctions, the
-w-coefficient profiles, the regularized kernels rho and rho-tilde) is an
-exponential polynomial on a closed interval, so addition, multiplication,
-argument shifts, differentiation and definite integration all stay inside
-this class and are computed in closed form.
+The eigenfunctions, the serialized w profiles and the pairings of
+``spectral`` are exponential polynomials on a closed interval, so addition,
+multiplication, argument shifts, differentiation and definite integration
+all stay inside this class and are computed in closed form. The cubic stage
+and the perturbation oracle skip the algebra and call :func:`moment`, the
+one integrator, on scalar (coeff, rate) pairs; the tests use ExpPoly as
+their oracle.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ class ExpPoly:
             b = self.domain[1]
         self._check_in_domain(a)
         self._check_in_domain(b)
-        return sum((_term_integral(t, a, b) for t in self.terms), 0j)
+        return sum((t.coeff * moment(t.rate, t.degree, a, b) for t in self.terms), 0j)
 
     # --- misc ----------------------------------------------------------
 
@@ -235,8 +237,8 @@ def _merge(terms: Iterable[ExpMonomial]) -> tuple[ExpMonomial, ...]:
     return tuple(merged)
 
 
-def _term_integral(t: ExpMonomial, a: float, b: float) -> complex:
-    """Definite integral of ``coeff * s^k * e^{l s}`` over ``[a, b]``.
+def moment(lam: complex, k: int, a: float, b: float) -> complex:
+    """The moment ``int_a^b s^k e^{lam s} ds``.
 
     Three branches keep full precision: an exact polynomial when the rate is
     (relatively) zero, a power series when |rate|*scale is small (where the
@@ -246,10 +248,8 @@ def _term_integral(t: ExpMonomial, a: float, b: float) -> complex:
     if a == b:
         return 0j
     span = abs(b - a)
-    lam = t.rate
-    k = t.degree
     if abs(lam) * span <= 1e-12:
-        return t.coeff * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
     scale = max(abs(a), abs(b), span)
     if abs(lam) * scale <= 0.5:
         # sum_m lam^m/m! * (b^{k+m+1} - a^{k+m+1})/(k+m+1)
@@ -267,19 +267,15 @@ def _term_integral(t: ExpMonomial, a: float, b: float) -> complex:
             fact *= m
             if m > 60:  # pragma: no cover - series always converges long before
                 break
-        return t.coeff * total
-    # antiderivative e^{ls} * sum_j p_j s^j
-    coeffs = [0j] * (k + 1)
+        return total
+    # antiderivative e^{ls} * sum_j p_j s^j, coefficients from the highest degree down
     p = 1.0 / lam
-    coeffs[k] = p
+    coeffs = [p]
     for j in range(k - 1, -1, -1):
         p = -(j + 1) * p / lam
-        coeffs[j] = p
-
-    def F(s: float) -> complex:
-        poly = 0j
-        for c in reversed(coeffs):
-            poly = poly * s + c
-        return cmath.exp(lam * s) * poly
-
-    return t.coeff * (F(b) - F(a))
+        coeffs.append(p)
+    poly_b = poly_a = 0j
+    for c in coeffs:
+        poly_b = poly_b * b + c
+        poly_a = poly_a * a + c
+    return cmath.exp(lam * b) * poly_b - cmath.exp(lam * a) * poly_a

@@ -17,7 +17,7 @@ from .cmcore import DegeneracyReport, ModelSpec, SecondOrder, ThirdOrder
 from .errors import ModelFileError
 from .exppoly import ExpMonomial, ExpPoly
 from .perturb import ExtrapolationResult, check_eps_grid
-from .reduction import AnalysisReport
+from .reduction import MAX_SWEEP_POINTS, AnalysisReport
 
 REPORT_VERSION = 1
 
@@ -108,8 +108,8 @@ def parse_model_document(doc: Any) -> ModelFile:
         lo = _number(blk, "min", "sweep block")
         hi = _number(blk, "max", "sweep block")
         points = blk.get("points")
-        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-            raise ModelFileError("sweep 'points' must be an integer >= 2")
+        if isinstance(points, bool) or not isinstance(points, int) or not 2 <= points <= MAX_SWEEP_POINTS:
+            raise ModelFileError(f"sweep 'points' must be an integer from 2 to {MAX_SWEEP_POINTS}")
         if not lo < hi:
             raise ModelFileError(f"sweep range [{lo}, {hi}] is empty")
         sweep = SweepBlock(param=blk["param"], lo=lo, hi=hi, points=points)
@@ -181,6 +181,10 @@ def _upoly(d: Mapping[str, Any]) -> ExpPoly:
     )
 
 
+def _uterms(d: Mapping[str, Any]) -> tuple[tuple[complex, complex], ...]:
+    return tuple((_uc(t["coeff"]), _uc(t["rate"])) for t in d["terms"])
+
+
 def model_to_dict(model: ModelSpec) -> dict[str, Any]:
     return {
         "A": model.lin.A,
@@ -250,12 +254,13 @@ def report_from_dict(doc: Mapping[str, Any]) -> AnalysisReport:
     so = SecondOrder(
         f20=_uc(so_d["f20"]), f11=_uc(so_d["f11"]), f02=_uc(so_d["f02"]),
         g20=_uc(so_d["g20"]), g11=_uc(so_d["g11"]), g02=_uc(so_d["g02"]),
-        w20=_upoly(so_d["profiles"]["w20"]),
-        w11=_upoly(so_d["profiles"]["w11"]),
-        w02=_upoly(so_d["profiles"]["w02"]),
         w20_0=_uc(so_d["w20_0"]), w20_mr=_uc(so_d["w20_mr"]),
         w11_0=_uc(so_d["w11_0"]), w11_mr=_uc(so_d["w11_mr"]),
         w02_0=_uc(so_d["w02_0"]), w02_mr=_uc(so_d["w02_mr"]),
+        t20=_uterms(so_d["profiles"]["w20"]),
+        t11=_uterms(so_d["profiles"]["w11"]),
+        t02=_uterms(so_d["profiles"]["w02"]),
+        r=m["r"],
     )
     t_d = doc["third_order"]
     deg_d = t_d["degeneracy"]

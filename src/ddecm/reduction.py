@@ -19,14 +19,13 @@ from typing import Mapping, Sequence
 from .chareq import HopfPoint, audit_spectrum, find_critical_frequency, HOPF_TOL
 from .cmcore import (
     _VALID_KEYS,
+    DegeneracyReport,
     ModelSpec,
     SecondOrder,
     ThirdOrder,
     second_order,
     third_order,
     third_order_rhs,
-    degeneracy_report,
-    DegeneracyReport,
 )
 from .errors import InconsistencyError
 from .perturb import DEFAULT_EPS_GRID, ExtrapolationResult, extrapolate_w21
@@ -116,6 +115,9 @@ def _taylor_key(param: str) -> tuple[int, int]:
 # fitted through the other three, in units of |f(lo)| + |f(mid)| + |f(hi)|
 QUADRATIC_CHECK_TOL = 1e-9
 
+# the largest sweep grid: the grid and its values are held as Python lists
+MAX_SWEEP_POINTS = 10**6
+
 
 def sweep_l1_zeros(
     template: ModelSpec,
@@ -139,8 +141,8 @@ def sweep_l1_zeros(
     """
     if not lo < hi:
         raise ValueError(f"sweep range [{lo}, {hi}] is empty")
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+    if not 2 <= n_points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"n_points must be from 2 to {MAX_SWEEP_POINTS}, got {n_points}")
     key = _taylor_key(param)
     hopf = find_critical_frequency(template.lin, template.omega_hint, tol)
     eig = build_eigendata(template.lin, hopf)
@@ -225,8 +227,8 @@ def analyze_model(
 
     t1 = time.perf_counter()
     so = second_order(model, eig)
-    third = third_order(model, eig, so)
-    rep = degeneracy_report(model, eig, so)
+    stage = third_order_rhs(model, eig, so)
+    third = third_order(model, eig, so, stage)
     # diagnostic only: the limit w21 is not constrained to be orthogonal to Psi1
     pairing = bilinear(eig.Psi1, third.w21, model.lin)
     timings["coefficients"] = time.perf_counter() - t1
@@ -234,7 +236,7 @@ def analyze_model(
     t2 = time.perf_counter()
     oracle = None
     if eps_grid is not None:
-        oracle = extrapolate_w21(model, eig, eps_grid)
+        oracle = extrapolate_w21(model, eig, eps_grid, closed_form=third.w21_0)
     timings["oracle"] = time.perf_counter() - t2
 
     l1 = lyapunov_l1(assemble_reduced(model, eig, so, third))
@@ -248,7 +250,7 @@ def analyze_model(
         Psi1_at_0=eig.Psi1_at_0,
         so=so,
         third=third,
-        degeneracy=rep,
+        degeneracy=stage.degeneracy,
         psi1_w21_pairing=pairing,
         oracle=oracle,
         l1=l1,

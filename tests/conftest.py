@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from ddecm import LinearPart, ModelSpec, build_eigendata, verify_hopf
+from ddecm.exppoly import ExpMonomial, ExpPoly, moment
 from ddecm.quadrature import adaptive_simpson
+from ddecm.spectral import bilinear
 
 # Benchmark system: x' = a x(t-r) + x(t)^2 + c x(t) x(t-r) with a = -1,
 # r = pi/2, critical pair +-i. The two parameter values where the first
@@ -142,6 +145,143 @@ def random_hopf_model(rng: random.Random, max_cubic=True) -> ModelSpec:
         keys += [(3, 0), (2, 1), (1, 2), (0, 3)]
     C = {key: rng.uniform(-2.0, 2.0) for key in keys if rng.random() > 0.2}
     return ModelSpec(LinearPart(A, B, r), C, omega_hint=w)
+
+
+def hopf_curve_model(omega: float, theta: float, k: int, C) -> ModelSpec:
+    """The model on the closed-form Hopf curve at crossing k: A = w cot theta,
+    B = -w / sin theta, r = (theta + 2 pi k) / w (B > 0 for pi < theta < 2 pi)."""
+    lin = LinearPart(omega / math.tan(theta), -omega / math.sin(theta), (theta + 2 * math.pi * k) / omega)
+    return ModelSpec(lin, C, omega_hint=omega)
+
+
+# --- the ExpPoly route: the algebra the cubic stage's scalar closed forms replaced
+
+
+def perturbed_eigenfunctions(p):
+    """(phi_eps1, phi_eps2) on [-r, 0] and (Psi_eps1, Psi_eps2) on [0, r]."""
+    from ddecm.perturb import psi_eps1_at_0
+
+    phi1 = ExpPoly.monomial(1.0, p.lambda_eps, 0, (-p.r, 0.0))
+    Psi1 = ExpPoly.monomial(psi_eps1_at_0(p), -p.lambda_eps, 0, (0.0, p.r))
+    return phi1, phi1.conjugate(), Psi1, Psi1.conjugate()
+
+
+def _kernels(lam: complex, r: float):
+    """rho on [-r, 0] and rho-tilde on [0, r]: the exact two-term forms
+    (e^{lam s} - e^{nu s}) / mu and (e^{-nu z} - e^{-lam z}) / mu, or at mu = 0
+    the resonant kernels -2 s e^{i w s} and -2 z e^{-i w z}."""
+    mu = lam.real
+    if mu == 0.0:
+        return (ExpPoly.monomial(-2.0, lam, 1, (-r, 0.0)),
+                ExpPoly.monomial(-2.0, -lam, 1, (0.0, r)))
+    nu = 2 * lam + lam.conjugate()
+    rho = ExpPoly((ExpMonomial(1.0 / mu, lam, 0), ExpMonomial(-1.0 / mu, nu, 0)), (-r, 0.0))
+    rho_t = ExpPoly((ExpMonomial(1.0 / mu, -nu, 0), ExpMonomial(-1.0 / mu, -lam, 0)), (0.0, r))
+    return rho, rho_t
+
+
+def regularized_kernels(p):
+    """rho_eps on [-r, 0] and rho_tilde_eps on [0, r] of a perturbed problem."""
+    return _kernels(p.lambda_eps, p.r)
+
+
+def _integral_with_scale(poly: ExpPoly) -> tuple[complex, float]:
+    """poly.integrate() and the sum of its terms' magnitudes, the scale of its rounding."""
+    parts = [t.coeff * moment(t.rate, t.degree, *poly.domain) for t in poly.terms]
+    return poly.integrate(), sum(map(abs, parts))
+
+
+def _bilinear_with_scale(psi: ExpPoly, phi: ExpPoly, lin: LinearPart) -> tuple[complex, float]:
+    """spectral.bilinear and the scale of its rounding."""
+    _, scale = _integral_with_scale(psi.shift_argument(lin.r) * phi)
+    return bilinear(psi, phi, lin), abs(psi.eval(0.0) * phi.eval(0.0)) + abs(lin.B) * scale
+
+
+def exppoly_stage(st) -> dict:
+    """Kernel integrals, pairings, R1, R2 and h1 of a ``CubicStage`` by
+    ExpPoly product-and-integrate and ``spectral.bilinear``, each as
+    (value, scale): the scale is the sum of the magnitudes of what is
+    summed, so two summation orders agree to a few ulps of it."""
+    A, B, r, lam, so = st.A, st.B, st.r, st.lam, st.so
+    mu, w = lam.real, lam.imag
+    lamb = lam.conjugate()
+    nu = 2 * lam + lamb
+    lin = LinearPart(A, B, r)
+    kernel = ExpPoly.monomial(1.0, -nu, 0, (-r, 0.0))
+    i = [_integral_with_scale(prof * kernel) for prof in (so.w20, so.w11, so.w02)]
+    Psi1 = ExpPoly.monomial(st.psi0, -lam, 0, (0.0, r))
+    rho, rho_t = _kernels(lam, r)
+    (p1, s1), (p2, s2) = _bilinear_with_scale(Psi1, rho, lin), _bilinear_with_scale(Psi1.conjugate(), rho, lin)
+    pairings = [(p1 + p2, s1 + s2)] + [_bilinear_with_scale(rho_t, prof, lin) for prof in (so.w20, so.w11, so.w02)]
+    elr, elbr, enur = cmath.exp(-lam * r), cmath.exp(-lamb * r), cmath.exp(-nu * r)
+    if mu == 0.0:
+        direct = (-st.g21 * r * elr, (1j / (2 * w)) * st.g12_bar * (cmath.exp(1j * w * r) - elr))
+    else:
+        direct = (-st.g21 * elr * (-math.expm1(-2 * mu * r)) / (2 * mu),
+                  -(st.g12_bar / (2 * lam)) * (elbr - enur))
+    gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
+    factors = (2 * so.g11, so.g20 + 2 * gb11, gb02)
+    R1 = sum(direct) - sum(c * enur * v for c, (v, _) in zip(factors, i))
+    R1_scale = sum(map(abs, direct)) + sum(abs(c * enur) * sc for c, (_, sc) in zip(factors, i))
+    R2_parts = (st.g21, st.g12_bar, -st.f21) + tuple(
+        c * v for c, v in zip(factors, (so.w20_0, so.w11_0, so.w02_0)))
+    h1 = st.f21 * pairings[0][0] - sum(c * v for c, (v, _) in zip(factors, pairings[1:]))
+    h1_scale = abs(st.f21) * pairings[0][1] + sum(abs(c) * sc for c, (_, sc) in zip(factors, pairings[1:]))
+    return {
+        "i": i,
+        "pairings": pairings,
+        "R1": (R1, R1_scale),
+        "R2": (sum(R2_parts), sum(map(abs, R2_parts))),
+        "h1": (h1, h1_scale),
+    }
+
+
+# --- report drift: field-by-field comparison of two analyze reports
+
+REPORT_SCALE_TOL = 1e-13   # |change| <= tol * max(1, |value|), complex pairs by modulus
+ORACLE_REL_TOL = 1e-11     # estimates, extrapolated: (B R1 - R2) / Delta_eps amplifies ~1/mu_eps
+NOISE_ABS_TOL = 1e-12      # fields that are rounding noise
+
+
+def _report_tol(key: str, in_oracle: bool, value: float) -> float:
+    if key.startswith("residual_") or key in ("BR1_minus_R2", "degeneracy_residual", "gap"):
+        return NOISE_ABS_TOL
+    if in_oracle and key in ("estimates", "extrapolated"):
+        return ORACLE_REL_TOL * value
+    return REPORT_SCALE_TOL * max(1.0, value)
+
+
+def report_drift(expected, actual, path: str = "", key: str = "", in_oracle: bool = False) -> list[str]:
+    """Every difference between two analyze report documents beyond the
+    drift allowed to a change that keeps the numbers: keys, nesting and
+    types must be identical, numbers within ``_report_tol`` of their field.
+    A two-number list is compared as one complex value."""
+    if type(expected) is not type(actual):
+        return [f"{path}: type {type(expected).__name__} -> {type(actual).__name__}"]
+    if isinstance(expected, dict):
+        if expected.keys() != actual.keys():
+            return [f"{path}: keys {sorted(expected)} -> {sorted(actual)}"]
+        out = []
+        for k in expected:
+            out += report_drift(expected[k], actual[k], f"{path}/{k}", k, in_oracle or k == "oracle")
+        return out
+    if isinstance(expected, list):
+        if len(expected) != len(actual):
+            return [f"{path}: length {len(expected)} -> {len(actual)}"]
+        if len(expected) == 2 and all(type(v) is float for v in expected + actual):
+            z, z2 = complex(*expected), complex(*actual)
+            if abs(z2 - z) > _report_tol(key, in_oracle, abs(z)):
+                return [f"{path}: {z!r} -> {z2!r}"]
+            return []
+        out = []
+        for i, (a, b) in enumerate(zip(expected, actual)):
+            out += report_drift(a, b, f"{path}[{i}]", key, in_oracle)
+        return out
+    if type(expected) is float:
+        if not abs(actual - expected) <= _report_tol(key, in_oracle, abs(expected)):
+            return [f"{path}: {expected!r} -> {actual!r}"]
+        return []
+    return [] if expected == actual else [f"{path}: {expected!r} -> {actual!r}"]
 
 
 @pytest.fixture

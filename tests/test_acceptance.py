@@ -48,10 +48,8 @@ from ddecm.exppoly import ExpPoly
 from ddecm.perturb import (
     DEFAULT_EPS_GRID,
     extrapolate_w21,
-    h_decomposition,
     make_perturbed,
-    perturbed_coeffs,
-    perturbed_eigenfunctions,
+    perturbed_stage,
     solve_perturbed_w21,
 )
 from ddecm.reduction import assemble_reduced, sweep_l1_zeros
@@ -66,6 +64,7 @@ from conftest import (
     R2_R,
     bilinear_quad,
     collocation_w21,
+    perturbed_eigenfunctions,
     random_hopf_model,
 )
 from test_cmcore import W21_0_C1, W21_0_C2, W21_MR_C1, W21_MR_C2
@@ -78,7 +77,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def _endpoints(model, eig):
     so = second_order(model, eig)
     rhs = third_order_rhs(model, eig, so)
-    w0 = w21_at_zero(model, eig, so, rhs.f21)
+    w0 = w21_at_zero(rhs)
     wmr = w21_at_minus_r(model.lin, eig, w0, rhs.R1, rhs.R2)
     return w0, wmr
 
@@ -164,7 +163,7 @@ class TestAcceptance:
                 for j, phi in ((1, phi1), (2, phi2)):
                     got = bilinear(Psi, phi, p.lin)
                     worst_pair = max(worst_pair, abs(got - (1.0 if i == j else 0.0)))
-            pc = perturbed_coeffs(bench_model_c1, p)
+            pc = perturbed_stage(bench_model_c1, p)
             psi1 = ExpPoly.monomial(1.0, -p.lambda_eps, 0, (0.0, p.r))
             for prof in (pc.so.w20, pc.so.w11, pc.so.w02):
                 worst_w = max(worst_w, abs(bilinear(psi1, prof, p.lin)))
@@ -191,17 +190,17 @@ class TestAcceptance:
         ok_paths = True
         for eps in (1e-2, 1e-3, 1e-4):
             p = make_perturbed(bench_lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            direct, _ = solve_perturbed_w21(bench_model_c1, p, pc)
-            h1, h2 = h_decomposition(bench_model_c1, p, pc)
+            pc = perturbed_stage(bench_model_c1, p)
+            direct, _ = solve_perturbed_w21(pc)
+            h1, h2 = pc.h()
             ok_paths &= abs(direct - h1 / h2) <= 1e-9 * abs(direct)
         # h2 approaches its limit monotonically on the grid
         limit = 2 * R2_R * R2_OMEGA * 1j - 2 * R2_R * bench_lin.A + 2.0
         h2_gaps = []
         for eps in DEFAULT_EPS_GRID:
             p = make_perturbed(bench_lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            _, h2 = h_decomposition(bench_model_c1, p, pc)
+            pc = perturbed_stage(bench_model_c1, p)
+            _, h2 = pc.h()
             h2_gaps.append(abs(h2 - limit))
         ok_h2 = all(b < a for a, b in zip(h2_gaps, h2_gaps[1:]))
         # family independence

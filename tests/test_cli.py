@@ -1,7 +1,10 @@
 """Command-line interface: documents, exit codes, determinism."""
 
+import copy
 import json
 import math
+import os
+import time
 
 import pytest
 
@@ -13,8 +16,12 @@ from ddecm.errors import ModelFileError, SpectrumAuditWarning
 from ddecm.modelio import load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
-from conftest import C1, C2, R2_R
+from conftest import C1, C2, R2_R, report_drift
 from test_cmcore import W21_0_C1
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the bundled model's report as written before the cubic stage became scalar
+BASELINE_REPORT = os.path.join(ROOT, "tests", "data", "benchmark_report.json")
 
 
 def write_model(tmp_path, name="model.json", **overrides):
@@ -61,6 +68,14 @@ class TestModelFile:
         with pytest.raises(ModelFileError):
             parse_model_document({**base, "sweep": {"param": "C1,1", "min": -2, "max": 2, "points": 1}})
 
+    def test_sweep_points_cap(self):
+        base = {"A": 0, "B": -1, "r": 1.0}
+        cap = reduction.MAX_SWEEP_POINTS
+        with pytest.raises(ModelFileError, match="from 2 to"):
+            parse_model_document({**base, "sweep": {"param": "C1,1", "min": -2, "max": 2, "points": cap + 1}})
+        mf = parse_model_document({**base, "sweep": {"param": "C1,1", "min": -2, "max": 2, "points": cap}})
+        assert mf.sweep.points == cap
+
     def test_eps_grid_validation(self):
         base = {"A": 0, "B": -1, "r": 1.0}
         with pytest.raises(ModelFileError):
@@ -93,6 +108,40 @@ class TestAnalyze:
         assert abs(w21_0 - W21_0_C1) <= 1e-9
         assert abs(doc["l1"]) <= 1e-6
         assert doc["oracle"]["gap"] <= 1e-6
+
+    def test_bundled_report_within_drift_of_baseline(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        assert main(["analyze", "--model", os.path.join(ROOT, "models", "benchmark.json"), "--out", out]) == 0
+        with open(BASELINE_REPORT, encoding="utf-8") as fh:
+            baseline = json.load(fh)
+        assert report_drift(baseline, json.loads(open(out).read())) == []
+
+    def test_drift_comparator_flags_changes(self):
+        with open(BASELINE_REPORT, encoding="utf-8") as fh:
+            base = json.load(fh)
+
+        def drift(edit):
+            doc = copy.deepcopy(base)
+            edit(doc)
+            return report_drift(base, doc)
+
+        def shift(field, index, by):
+            def edit(doc):
+                field(doc)[index] += by
+            return edit
+
+        third, oracle = (lambda d: d["third_order"]["w21_0"]), (lambda d: d["oracle"]["extrapolated"])
+        assert drift(lambda d: None) == []
+        assert drift(shift(third, 0, 5e-14)) == []
+        assert drift(shift(third, 0, 2e-13)) != []
+        assert drift(shift(oracle, 1, 1e-12)) == []
+        assert drift(shift(oracle, 1, 1e-11)) != []
+        assert drift(lambda d: d["oracle"].update(gap=d["oracle"]["gap"] + 5e-13)) == []
+        assert drift(lambda d: d["oracle"].update(gap=d["oracle"]["gap"] + 2e-12)) != []
+        assert drift(lambda d: d.update(l1=d["l1"] + 2e-13)) != []
+        assert drift(lambda d: d["hopf"].update(simple=1)) != []
+        assert drift(lambda d: d["third_order"].pop("Delta")) != []
+        assert drift(lambda d: d["second_order"]["profiles"]["w20"]["terms"].pop()) != []
 
     def test_trivial_model(self, tmp_path):
         model = write_model(tmp_path, C={})
@@ -213,6 +262,15 @@ class TestSweep:
         )
         assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 2
         assert "error[InconsistencyError]" in capsys.readouterr().err
+
+    def test_points_beyond_cap_exit_1(self, tmp_path, capsys):
+        model = write_model(tmp_path, sweep={"param": "C1,1", "min": -4.0, "max": 4.0, "points": 10**30})
+        assert '"points": 1000000000000000000000000000000' in open(model).read()
+        t0 = time.perf_counter()
+        assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "error[ModelFileError]" in err and "points" in err
 
     def test_missing_sweep_block(self, tmp_path):
         model = write_model(tmp_path)

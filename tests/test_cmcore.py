@@ -16,6 +16,7 @@ import math
 
 import pytest
 
+import ddecm.cmcore as cmcore
 from ddecm.chareq import LinearPart, verify_hopf
 from ddecm.cmcore import (
     ModelSpec,
@@ -29,11 +30,20 @@ from ddecm.cmcore import (
     w21_profile,
 )
 from ddecm.errors import InconsistencyError, ResonanceError, ZeroEigenvalueError
-from ddecm.exppoly import ExpPoly
+from ddecm.exppoly import ExpPoly, moment
+from ddecm.perturb import make_perturbed, perturbed_stage
 from ddecm.spectral import EigenData, bilinear, build_eigendata
 from ddecm.quadrature import adaptive_simpson
 
-from conftest import C1, C2, bilinear_quad, collocation_w21, random_hopf_model
+from conftest import (
+    C1,
+    C2,
+    bilinear_quad,
+    collocation_w21,
+    exppoly_stage,
+    hopf_curve_model,
+    random_hopf_model,
+)
 
 # oracle values (see module docstring); tolerance reflects the oracle's own
 # quadrature error
@@ -106,6 +116,12 @@ class TestSecondOrder:
         for prof in (so.w20, so.w11, so.w02):
             assert abs(bilinear(bench_eig.psi1, prof, bench_lin)) <= 1e-10
             assert abs(bilinear(bench_eig.psi2, prof, bench_lin)) <= 1e-10
+
+    def test_overflowing_coefficients_rejected(self, bench_lin, bench_eig):
+        # the profiles' terms overflow to nan; no later stage may run on them
+        model = ModelSpec(bench_lin, {(2, 0): 1e308, (1, 1): 1e308})
+        with pytest.raises(ValueError, match="must be finite"):
+            second_order(model, bench_eig)
 
     def test_resonance_guard(self):
         # char(2i) = 0 for A=0, B=-2, r=pi/4 (and i is then NOT a root, so this
@@ -200,7 +216,7 @@ class TestW21:
     def test_trivial_model(self, bench_lin, bench_eig):
         model = ModelSpec(bench_lin, {})
         so, rhs = pipeline(model, bench_eig)
-        assert w21_at_zero(model, bench_eig, so, rhs.f21) == 0
+        assert w21_at_zero(rhs) == 0
         assert w21_at_minus_r(bench_lin, bench_eig, 0j, rhs.R1, rhs.R2) == 0
 
     @pytest.mark.parametrize(
@@ -211,7 +227,7 @@ class TestW21:
     def test_frozen_oracle_values(self, bench_lin, bench_eig, cval, want0, wantmr):
         model = ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): cval})
         so, rhs = pipeline(model, bench_eig)
-        w0 = w21_at_zero(model, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
         assert abs(w0 - want0) <= _FROZEN_TOL
         assert abs(wmr - wantmr) <= _FROZEN_TOL
@@ -251,7 +267,7 @@ class TestW21:
 
     def test_second_row_consistency_check(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
-        w0 = w21_at_zero(bench_model_c1, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         # satisfied with the true R2
         w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
         # a corrupted R2 must be caught
@@ -260,7 +276,7 @@ class TestW21:
 
     def test_both_rows_satisfied(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
-        w0 = w21_at_zero(bench_model_c1, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1)
         w, B, r = bench_eig.omega, bench_lin.B, bench_lin.r
         row1 = abs(-cmath.exp(-1j * w * r) * w0 + wmr - rhs.R1)
@@ -271,13 +287,13 @@ class TestW21:
 class TestW21Profile:
     def test_initial_condition(self, bench_model_c1, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
-        w0 = w21_at_zero(bench_model_c1, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         prof = w21_profile(bench_model_c1, bench_eig, so, w0)
         assert abs(prof.eval(0.0) - w0) <= 1e-13 * (1 + abs(w0))
 
     def test_endpoint_cross_check(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
-        w0 = w21_at_zero(bench_model_c1, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
         prof = w21_profile(bench_model_c1, bench_eig, so, w0)
         assert abs(prof.eval(-bench_lin.r) - wmr) <= 1e-10 * (1 + abs(wmr))
@@ -289,7 +305,7 @@ class TestW21Profile:
 
     def test_resonant_term_present(self, bench_model_c1, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
-        w0 = w21_at_zero(bench_model_c1, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         prof = w21_profile(bench_model_c1, bench_eig, so, w0)
         w = bench_eig.omega
         secular = [t for t in prof.terms if t.degree == 1 and abs(t.rate - 1j * w) < 1e-12]
@@ -310,7 +326,7 @@ class TestW21Profile:
 
     def test_ode_residual(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
-        w0 = w21_at_zero(bench_model_c1, bench_eig, so, rhs.f21)
+        w0 = w21_at_zero(rhs)
         prof = w21_profile(bench_model_c1, bench_eig, so, w0)
         w, r = bench_eig.omega, bench_lin.r
         dom = (-r, 0.0)
@@ -325,6 +341,80 @@ class TestW21Profile:
         residual = prof.derivative() - prof.scale(1j * w) - forcing
         scale = 1.0 + prof.max_coeff() + forcing.max_coeff()
         assert residual.max_coeff() <= 1e-12 * scale
+
+
+# (omega, theta, k) on the Hopf curve: omega r = theta + 2 pi k runs from 0.05
+# to 30, B < 0 for theta < pi and B > 0 above
+CURVE_POINTS = [
+    (1.0, 0.05, 0),
+    (0.05, 0.5, 0),
+    (7.0, 2.0, 0),
+    (1.3, 4.0, 0),
+    (0.4, 1.0, 1),
+    (2.5, 5.5, 1),
+    (1.0, 0.3, 2),
+    (0.2, 3.5, 2),
+    (0.7, 30.0 - 8.0 * math.pi, 4),
+]
+CUBIC_C = {(2, 0): 1.3, (1, 1): -0.7, (0, 2): 0.4, (3, 0): 0.9, (2, 1): -1.1, (1, 2): 0.6, (0, 3): -0.5}
+
+
+def _curve_stage(omega, theta, k, eps):
+    """The critical cubic stage (eps None) or the perturbed one at eps."""
+    model = hopf_curve_model(omega, theta, k, CUBIC_C)
+    if eps is not None:
+        return perturbed_stage(model, make_perturbed(model.lin, omega, eps))
+    eig = build_eigendata(model.lin, verify_hopf(model.lin, omega))
+    return third_order_rhs(model, eig, second_order(model, eig))
+
+
+class TestCubicStage:
+    @pytest.mark.parametrize("eps", [None, 1e-2, 1e-4])
+    @pytest.mark.parametrize("omega,theta,k", CURVE_POINTS)
+    def test_scalar_forms_match_exppoly_route(self, omega, theta, k, eps):
+        # near a zero eigenvalue (small theta) both routes cancel the same
+        # large terms, so agreement is measured against the size of what is
+        # summed, not against the (much smaller) result
+        st = _curve_stage(omega, theta, k, eps)
+        ref = exppoly_stage(st)
+        got = {
+            "i": (st.i20, st.i11, st.i02),
+            "pairings": st.pairings(),
+            "R1": (st.R1,),
+            "R2": (st.R2,),
+            "h1": (st.h()[0],),
+        }
+        for key, values in got.items():
+            want = ref[key] if isinstance(ref[key], list) else [ref[key]]
+            for value, (expected, scale) in zip(values, want, strict=True):
+                assert abs(value - expected) <= 1e-13 * scale, (key, value, expected, scale)
+
+    def test_moment_branches_all_reached(self, monkeypatch):
+        # exact polynomial, power series and closed form (|rate| r <= 1e-12,
+        # <= 0.5, above), as exppoly.moment chooses them on [-r, 0]
+        sizes = []
+
+        def recording(rate, k, a, b):
+            sizes.append(abs(rate) * (b - a))
+            return moment(rate, k, a, b)
+
+        monkeypatch.setattr(cmcore, "moment", recording)
+        for omega, theta, k in CURVE_POINTS:
+            for eps in (None, 1e-2):
+                _curve_stage(omega, theta, k, eps).h()
+        assert min(sizes) <= 1e-12
+        assert any(1e-12 < x <= 0.5 for x in sizes)
+        assert max(sizes) > 0.5
+
+    @pytest.mark.parametrize("omega,theta,k", [(1.0, math.pi / 2, 0), (1.3, 4.0, 0), (0.4, 1.0, 1)])
+    def test_h_ratio_tends_to_critical_w21(self, omega, theta, k):
+        w21_0 = cmcore.w21_at_zero(_curve_stage(omega, theta, k, None))
+        gaps = []
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+            h1, h2 = _curve_stage(omega, theta, k, eps).h()
+            gaps.append(abs(h1 / h2 - w21_0))
+        # first order in eps: each tenfold step shrinks the gap about tenfold
+        assert all(5.0 * g2 <= g1 <= 20.0 * g2 for g1, g2 in zip(gaps, gaps[1:])), gaps
 
 
 class TestThirdOrderBundle:

@@ -13,18 +13,14 @@ from ddecm.exppoly import ExpPoly
 from ddecm.perturb import (
     DEFAULT_EPS_GRID,
     extrapolate_w21,
-    h_decomposition,
     make_perturbed,
-    perturbed_coeffs,
-    perturbed_eigenfunctions,
-    perturbed_rhs,
-    regularized_kernels,
+    perturbed_stage,
     solve_perturbed_w21,
     w21_estimate,
 )
 from ddecm.spectral import bilinear
 
-from conftest import R2_OMEGA
+from conftest import R2_OMEGA, perturbed_eigenfunctions, regularized_kernels
 from test_cmcore import W21_0_C1
 
 
@@ -74,28 +70,28 @@ class TestPerturbedSpectral:
 
     def test_normalization_limit(self, bench_lin, bench_eig, bench_model_c1):
         p = make_perturbed(bench_lin, R2_OMEGA, 1e-8)
-        pc = perturbed_coeffs(bench_model_c1, p)
-        assert abs(pc.Psi_eps1_at_0 - bench_eig.Psi1_at_0) <= 1e-6
+        pc = perturbed_stage(bench_model_c1, p)
+        assert abs(pc.psi0 - bench_eig.Psi1_at_0) <= 1e-6
 
 
 class TestPerturbedCoeffs:
     def test_trivial_model(self, bench_lin):
         model = ModelSpec(bench_lin, {})
         p = make_perturbed(bench_lin, R2_OMEGA, 1e-2)
-        pc = perturbed_coeffs(model, p)
+        pc = perturbed_stage(model, p)
         assert pc.f21 == pc.g21 == 0
         assert pc.so.w20.is_zero() and pc.so.w11.is_zero()
 
     def test_continuity_in_eps(self, bench_model_c1, bench_eig):
         so0 = second_order(bench_model_c1, bench_eig)
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-3)
-        pc = perturbed_coeffs(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, p)
         assert abs(pc.so.g11 - so0.g11) <= 0.01
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_profiles_orthogonal_to_adjoint(self, bench_model_c1, eps):
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-        pc = perturbed_coeffs(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, p)
         r = p.r
         psi1 = ExpPoly.monomial(1.0, -p.lambda_eps, 0, (0.0, r))
         psi2 = psi1.conjugate()
@@ -105,7 +101,7 @@ class TestPerturbedCoeffs:
 
     def test_profile_ode_residuals(self, bench_model_c1):
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-2)
-        pc = perturbed_coeffs(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, p)
         so = pc.so
         lam = p.lambda_eps
         dom = (-p.r, 0.0)
@@ -150,25 +146,25 @@ class TestHDecomposition:
     def test_determinant_factorization(self, bench_model_c1):
         for eps in DEFAULT_EPS_GRID:
             p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            h1, h2 = h_decomposition(bench_model_c1, p, pc)
-            assert abs(pc.Delta_eps - p.mu_eps * h2) <= 1e-13 * abs(pc.Delta_eps)
-            assert abs(pc.Delta_eps) > 0
+            pc = perturbed_stage(bench_model_c1, p)
+            h1, h2 = pc.h()
+            assert abs(pc.Delta - p.mu_eps * h2) <= 1e-13 * abs(pc.Delta)
+            assert abs(pc.Delta) > 0
 
     def test_stable_form_matches_raw_determinant(self, bench_model_c1):
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-2)
-        pc = perturbed_coeffs(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, p)
         lam = p.lambda_eps
         nu = 2 * lam + lam.conjugate()
         raw = -p.B_eps * cmath.exp(-nu * p.r) - p.A_eps + nu
-        assert abs(pc.Delta_eps - raw) <= 1e-12
+        assert abs(pc.Delta - raw) <= 1e-12
 
     def test_numerator_factorization(self, bench_model_c1):
         for eps in (1e-2, 1e-3):
             p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            R1, R2 = perturbed_rhs(bench_model_c1, p, pc)
-            h1, _ = h_decomposition(bench_model_c1, p, pc)
+            pc = perturbed_stage(bench_model_c1, p)
+            R1, R2 = pc.R1, pc.R2
+            h1, _ = pc.h()
             lhs = p.B_eps * R1 - R2
             assert abs(lhs - p.mu_eps * h1) <= 1e-10 * (1.0 + abs(R2))
 
@@ -178,8 +174,8 @@ class TestHDecomposition:
         prev = None
         for eps in DEFAULT_EPS_GRID:
             p = make_perturbed(lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            _, h2 = h_decomposition(bench_model_c1, p, pc)
+            pc = perturbed_stage(bench_model_c1, p)
+            _, h2 = pc.h()
             gap = abs(h2 - limit)
             if prev is not None:
                 assert gap < prev
@@ -191,47 +187,45 @@ class TestSolve:
     def test_nonzero_determinant_on_range(self, bench_model_c1):
         for eps in (0.2, 0.1, 0.05, 0.01, 1e-3):
             p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            assert abs(pc.Delta_eps) > 0
+            pc = perturbed_stage(bench_model_c1, p)
+            assert abs(pc.Delta) > 0
 
     def test_close_to_limit_at_small_eps(self, bench_model_c1):
         # converges O(eps) to the limit value: the gap is 6.1e-3 at eps = 1e-2
         # and 6.2e-4 at eps = 1e-3
         for eps, bound in ((1e-2, 1e-2), (1e-3, 1e-3)):
             p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_coeffs(bench_model_c1, p)
-            w0, _ = solve_perturbed_w21(bench_model_c1, p, pc)
+            pc = perturbed_stage(bench_model_c1, p)
+            w0, _ = solve_perturbed_w21(pc)
             assert abs(w0 - W21_0_C1) <= bound
 
     def test_trivial_model(self, bench_lin):
         model = ModelSpec(bench_lin, {})
         p = make_perturbed(bench_lin, R2_OMEGA, 1e-2)
-        pc = perturbed_coeffs(model, p)
-        assert solve_perturbed_w21(model, p, pc) == (0j, 0j)
+        pc = perturbed_stage(model, p)
+        assert solve_perturbed_w21(pc) == (0j, 0j)
 
     def test_direct_solve_guard(self, bench_model_c1):
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-15)
-        pc = perturbed_coeffs(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, p)
         with pytest.raises(DegenerateSystemError):
-            solve_perturbed_w21(bench_model_c1, p, pc)
+            solve_perturbed_w21(pc)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_two_computation_paths_agree(self, bench_model_c1, eps):
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-        pc = perturbed_coeffs(bench_model_c1, p)
-        direct, _ = solve_perturbed_w21(bench_model_c1, p, pc)
-        h1, h2 = h_decomposition(bench_model_c1, p, pc)
+        pc = perturbed_stage(bench_model_c1, p)
+        direct, _ = solve_perturbed_w21(pc)
+        h1, h2 = pc.h()
         assert abs(direct - h1 / h2) <= 1e-9 * abs(direct)
 
     def test_h_form_used_near_criticality(self, bench_model_c1, bench_eig):
         so = second_order(bench_model_c1, bench_eig)
-        closed = w21_at_zero(
-            bench_model_c1, bench_eig, so, third_order_rhs(bench_model_c1, bench_eig, so).f21
-        )
+        closed = w21_at_zero(third_order_rhs(bench_model_c1, bench_eig, so))
         p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-9)
-        pc = perturbed_coeffs(bench_model_c1, p)
-        assert abs(pc.Delta_eps) < 1e-8  # direct solve would be hopeless
-        est = w21_estimate(bench_model_c1, p, pc)
+        pc = perturbed_stage(bench_model_c1, p)
+        assert abs(pc.Delta) < 1e-8  # direct solve would be hopeless
+        est = w21_estimate(pc)
         assert abs(est - closed) <= 1e-6
 
 

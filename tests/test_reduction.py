@@ -1,22 +1,29 @@
 """Reduced equation, first Lyapunov coefficient, sweeps, and the report pipeline."""
 
+from collections import Counter
+
 import pytest
 
+import ddecm.cmcore as cmcore
+import ddecm.perturb as perturb
 import ddecm.reduction as reduction
-from ddecm.chareq import find_critical_frequency
-from ddecm.cmcore import ModelSpec, second_order
+from ddecm.chareq import HOPF_TOL, find_critical_frequency
+from ddecm.cmcore import ModelSpec, degeneracy_report, second_order, third_order
 from ddecm.errors import InconsistencyError
+from ddecm.exppoly import ExpPoly
 from ddecm.modelio import dump_json, report_from_dict, report_to_dict
+from ddecm.perturb import DEFAULT_EPS_GRID, extrapolate_w21
 from ddecm.reduction import (
+    AnalysisReport,
     ReducedEquation,
     analyze_model,
     assemble_reduced,
     lyapunov_l1,
     sweep_l1_zeros,
 )
-from ddecm.spectral import build_eigendata
+from ddecm.spectral import bilinear, build_eigendata
 
-from conftest import C1, C2
+from conftest import C1, C2, random_hopf_model
 
 
 class TestAssemble:
@@ -90,6 +97,13 @@ class TestSweep:
     def test_bad_range(self, bench_lin):
         with pytest.raises(ValueError):
             sweep_l1_zeros(ModelSpec(bench_lin, {}), "C1,1", 2.0, -2.0, 10)
+
+    def test_points_beyond_cap_rejected(self, bench_lin):
+        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
+        with pytest.raises(ValueError, match="n_points"):
+            sweep_l1_zeros(template, "C1,1", -4.0, 4.0, reduction.MAX_SWEEP_POINTS + 1)
+        with pytest.raises(ValueError, match="n_points"):
+            sweep_l1_zeros(template, "C1,1", -4.0, 4.0, 10**30)
 
     def test_unknown_parameter(self, bench_lin):
         with pytest.raises(ValueError):
@@ -180,3 +194,66 @@ class TestAnalyzeReport:
         rep = analyze_model(bench_model_c1)
         assert rep.timing_seconds  # collected in memory
         assert "timing" not in dump_json(report_to_dict(rep))
+
+
+def _replayed_report(model, grid):
+    """The report rebuilt from the public calls the benchmark's traced replay
+    makes, one at a time, in its order."""
+    lin = model.lin
+    hopf = find_critical_frequency(lin, model.omega_hint, HOPF_TOL)
+    eig = build_eigendata(lin, hopf)
+    so = second_order(model, eig)
+    third = third_order(model, eig, so)
+    deg = degeneracy_report(model, eig, so)
+    pairing = bilinear(eig.Psi1, third.w21, lin)
+    oracle = extrapolate_w21(model, eig, grid) if grid is not None else None
+    l1 = lyapunov_l1(assemble_reduced(model, eig, so, third))
+    return AnalysisReport(
+        model=model, hopf=hopf, root_count=None, e11=eig.e11, e22=eig.e22,
+        Psi1_at_0=eig.Psi1_at_0, so=so, third=third, degeneracy=deg,
+        psi1_w21_pairing=pairing, oracle=oracle, l1=l1,
+    )
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("grid", [DEFAULT_EPS_GRID, None], ids=["oracle", "no-oracle"])
+    def test_public_calls_rebuild_the_report(self, bench_model_c1, rng, grid):
+        for model in (bench_model_c1, random_hopf_model(rng), random_hopf_model(rng)):
+            replayed = dump_json(report_to_dict(_replayed_report(model, grid)))
+            assert replayed == dump_json(report_to_dict(analyze_model(model, eps_grid=grid)))
+
+    def test_each_stage_runs_once(self, bench_model_c1, monkeypatch):
+        calls = Counter()
+        stage_lams = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                if name == "cubic_stage":
+                    stage_lams.append(args[3])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (cmcore, perturb, reduction):
+            for name in ("quadratic_data", "cubic_stage", "second_order", "third_order_rhs"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        analyze_model(bench_model_c1)
+        n = len(DEFAULT_EPS_GRID)
+        assert calls == {"quadratic_data": 1 + n, "cubic_stage": 1 + n, "second_order": 1,
+                         "third_order_rhs": 1}
+        # the critical stage once, at lam = i w; the oracle's at mu_eps > 0
+        assert [lam.real for lam in stage_lams].count(0.0) == 1
+        assert all(lam.real > 0 for lam in stage_lams[1:])
+
+    def test_perturbed_problems_build_no_exppoly(self, bench_model_c1, bench_eig, monkeypatch):
+        built = []
+        init = ExpPoly.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ExpPoly, "__init__", counting_init)
+        extrapolate_w21(bench_model_c1, bench_eig, closed_form=0j)
+        assert built == []
