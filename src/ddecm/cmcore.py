@@ -243,10 +243,10 @@ class CubicStage(NamedTuple):
     Its rows are ``-e^{-nu r} w21(0) + w21(-r) = R1`` and
     ``-(nu - A) w21(0) + B w21(-r) = R2``, with determinant ``Delta``;
     ``i20``, ``i11``, ``i02`` are the kernel integrals
-    ``int_{-r}^0 w_jk(s) e^{-nu s} ds``. At ``mu = 0`` the rows are
-    dependent and ``degeneracy`` holds the residuals of the four identities
-    that show it; at ``mu > 0`` ``lam`` must be a root of the characteristic
-    equation, which ``Delta`` is reduced by.
+    ``int_{-r}^0 w_jk(s) e^{-nu s} ds`` and ``direct`` is the part of R1
+    they do not carry. At ``mu = 0`` the rows are dependent (see
+    :meth:`degeneracy`); at ``mu > 0`` ``lam`` must be a root of the
+    characteristic equation, which ``Delta`` is reduced by.
     """
 
     A: float
@@ -261,10 +261,31 @@ class CubicStage(NamedTuple):
     i20: complex
     i11: complex
     i02: complex
+    direct: complex
     R1: complex
     R2: complex
     Delta: complex
-    degeneracy: DegeneracyReport
+
+    def degeneracy(self) -> DegeneracyReport:
+        """Residuals of the four identities that make the rows dependent at
+        ``mu = 0``: ``B direct = g21 + conj(g12) - f21`` and
+        ``B e^{-nu r} i_jk = -w_jk(0)``, each weighted as in R1 and R2. At
+        ``mu > 0`` the identities do not hold and the residuals mean nothing."""
+        so = self.so
+        weights = so.forcing_weights
+        enur = cmath.exp(-(2 * self.lam + self.lam.conjugate()) * self.r)
+        res2, res3, res4 = (
+            abs(c * (self.B * enur * v + w0))
+            for c, v, w0 in zip(weights, (self.i20, self.i11, self.i02), (so.w20_0, so.w11_0, so.w02_0))
+        )
+        return DegeneracyReport(
+            Delta=self.Delta,
+            residual_R1=abs(self.B * self.direct - (self.g21 + self.g12_bar - self.f21)),
+            residual_R2=res2,
+            residual_R3=res3,
+            residual_R4=res4,
+            BR1_minus_R2=abs(self.B * self.R1 - self.R2),
+        )
 
     def pairings(self) -> tuple[complex, complex, complex, complex]:
         """``<Psi1, rho> + <Psi2, rho>`` and ``<rho~, w_jk>`` for jk = 20, 11, 02.
@@ -322,8 +343,8 @@ class CubicStage(NamedTuple):
 def cubic_stage(
     A: float, B: float, r: float, lam: complex, psi0: complex, model: ModelSpec, so: SecondOrder
 ) -> CubicStage:
-    """f21, g21, conj(g12), the kernel integrals, R1, R2, Delta and the
-    degeneracy residuals of the w21 system at ``lam`` (see :class:`CubicStage`)."""
+    """f21, g21, conj(g12), the kernel integrals, R1, R2 and Delta of the w21
+    system at ``lam`` (see :class:`CubicStage`)."""
     mu = lam.real
     lamb = lam.conjugate()
     nu = 2 * lam + lamb
@@ -348,19 +369,7 @@ def cubic_stage(
     direct = -g21 * elr * E - (g12_bar / (2 * lam)) * (elbr - enur)
     R1 = direct - enur * sum(c * v for c, v in zip(weights, i))
     R2 = g21 + g12_bar - f21 + sum(c * v for c, v in zip(weights, (so.w20_0, so.w11_0, so.w02_0)))
-    # B e^{-nu r} i_jk = -w_jk(0), each weighted as in R1 and R2
-    res2, res3, res4 = (
-        abs(c * (B * enur * v + w0)) for c, v, w0 in zip(weights, i, (so.w20_0, so.w11_0, so.w02_0))
-    )
-    deg = DegeneracyReport(
-        Delta=Delta,
-        residual_R1=abs(B * direct - (g21 + g12_bar - f21)),
-        residual_R2=res2,
-        residual_R3=res3,
-        residual_R4=res4,
-        BR1_minus_R2=abs(B * R1 - R2),
-    )
-    return CubicStage(A, B, r, lam, psi0, so, f21, g21, g12_bar, *i, R1, R2, Delta, deg)
+    return CubicStage(A, B, r, lam, psi0, so, f21, g21, g12_bar, *i, direct, R1, R2, Delta)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +390,7 @@ def third_order_rhs(model: ModelSpec, eig: EigenData, so: SecondOrder) -> CubicS
 
 def degeneracy_report(model: ModelSpec, eig: EigenData, so: SecondOrder) -> DegeneracyReport:
     """Residuals of the four identities proving the two system rows dependent."""
-    return third_order_rhs(model, eig, so).degeneracy
+    return third_order_rhs(model, eig, so).degeneracy()
 
 
 def w21_at_zero(stage: CubicStage) -> complex:
@@ -416,23 +425,17 @@ def w21_at_minus_r(
     return value
 
 
-def w21_profile(
-    model: ModelSpec,
-    eig: EigenData,
-    so: SecondOrder,
-    w21_0: complex,
-    stage: CubicStage | None = None,
-) -> ExpPoly:
-    """Integrate the w21 equation w' = i w w + forcing from s = 0 in closed form.
+def w21_profile(stage: CubicStage, w21_0: complex) -> ExpPoly:
+    """Integrate the w21 equation w' = i w w + forcing from s = 0 in closed form,
+    for the critical ``stage``.
 
     The forcing is g21 e^{i w s} + conj(g12) e^{-i w s} plus the quadratic
     profiles' terms, collected by rate. A component at rate rho != i w
     integrates to coeff / (rho - i w) e^{rho s}; the one at rate i w is
     resonant and yields the secular s e^{i w s} term.
     """
-    st = third_order_rhs(model, eig, so) if stage is None else stage
-    nu = 1j * eig.omega
-    forcing = {nu: st.g21, -nu: st.g12_bar}
+    so, nu = stage.so, stage.lam
+    forcing = {nu: stage.g21, -nu: stage.g12_bar}
     for factor, terms in zip(so.forcing_weights, (so.t20, so.t11, so.t02)):
         for c, rate in terms:
             forcing[rate] = forcing.get(rate, 0j) + factor * c
@@ -443,7 +446,7 @@ def w21_profile(
         terms.append(ExpMonomial(c, rate, 0))
         const -= c
     terms.append(ExpMonomial(const, nu, 0))
-    return ExpPoly(terms, (-model.lin.r, 0.0))
+    return ExpPoly(terms, (-stage.r, 0.0))
 
 
 def third_order(
@@ -462,8 +465,8 @@ def third_order(
         R1=st.R1,
         R2=st.R2,
         Delta=st.Delta,
-        degeneracy_residual=st.degeneracy.BR1_minus_R2,
+        degeneracy_residual=st.degeneracy().BR1_minus_R2,
         w21_0=w0,
         w21_mr=wmr,
-        w21=w21_profile(model, eig, so, w0, st),
+        w21=w21_profile(st, w0),
     )

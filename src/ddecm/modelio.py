@@ -182,6 +182,10 @@ def _upoly(d: Mapping[str, Any]) -> ExpPoly:
 
 
 def _uterms(d: Mapping[str, Any]) -> tuple[tuple[complex, complex], ...]:
+    """The (coeff, rate) pairs of a quadratic profile, a sum of pure exponentials."""
+    for t in d["terms"]:
+        if t["degree"] != 0:
+            raise ModelFileError(f"quadratic profile term of degree {t['degree']!r}; only 0 is valid")
     return tuple((_uc(t["coeff"]), _uc(t["rate"])) for t in d["terms"])
 
 

@@ -250,7 +250,7 @@ def analyze_model(
         Psi1_at_0=eig.Psi1_at_0,
         so=so,
         third=third,
-        degeneracy=stage.degeneracy,
+        degeneracy=stage.degeneracy(),
         psi1_w21_pairing=pairing,
         oracle=oracle,
         l1=l1,

@@ -288,25 +288,25 @@ class TestW21Profile:
     def test_initial_condition(self, bench_model_c1, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
-        prof = w21_profile(bench_model_c1, bench_eig, so, w0)
+        prof = w21_profile(rhs, w0)
         assert abs(prof.eval(0.0) - w0) <= 1e-13 * (1 + abs(w0))
 
     def test_endpoint_cross_check(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
         wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
-        prof = w21_profile(bench_model_c1, bench_eig, so, w0)
+        prof = w21_profile(rhs, w0)
         assert abs(prof.eval(-bench_lin.r) - wmr) <= 1e-10 * (1 + abs(wmr))
 
     def test_trivial_model(self, bench_lin, bench_eig):
         model = ModelSpec(bench_lin, {})
         so = second_order(model, bench_eig)
-        assert w21_profile(model, bench_eig, so, 0j).is_zero()
+        assert w21_profile(third_order_rhs(model, bench_eig, so), 0j).is_zero()
 
     def test_resonant_term_present(self, bench_model_c1, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
-        prof = w21_profile(bench_model_c1, bench_eig, so, w0)
+        prof = w21_profile(rhs, w0)
         w = bench_eig.omega
         secular = [t for t in prof.terms if t.degree == 1 and abs(t.rate - 1j * w) < 1e-12]
         assert len(secular) == 1
@@ -327,7 +327,7 @@ class TestW21Profile:
     def test_ode_residual(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
-        prof = w21_profile(bench_model_c1, bench_eig, so, w0)
+        prof = w21_profile(rhs, w0)
         w, r = bench_eig.omega, bench_lin.r
         dom = (-r, 0.0)
         gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
