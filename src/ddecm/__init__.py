@@ -9,7 +9,6 @@ from .chareq import (
     char_value,
     count_roots_rect,
     find_critical_frequency,
-    find_hopf_parameter,
     verify_hopf,
 )
 from .cmcore import (
@@ -75,7 +74,6 @@ __all__ = [
     "degeneracy_report",
     "extrapolate_w21",
     "find_critical_frequency",
-    "find_hopf_parameter",
     "integrate_dde",
     "integrate_reduced",
     "lyapunov_l1",

@@ -1,7 +1,8 @@
 """Characteristic equation lambda - A - B*exp(-lambda*r) = 0 of the linearized
-delay equation: evaluation, Hopf-point location and verification, the
-closed-form count of roots with nonnegative real part, and argument-principle
-root counting over rectangles.
+delay equation: evaluation, the Hopf frequency (seeded by its closed form
+sqrt(B^2 - A^2), polished by Newton on Im F, then verified), the closed-form
+count of roots with nonnegative real part, and argument-principle root
+counting over rectangles.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import (
-    InvalidRootError,
-    NoHopfError,
     NotHopfPointError,
     QuadratureError,
     RootOnContourError,
@@ -24,8 +23,6 @@ from .quadrature import adaptive_simpson
 HOPF_TOL = 1e-10          # default acceptance tolerance on |F(i w)|
 SIMPLE_TOL = 1e-8         # simplicity threshold on |F'(i w)|; keeps the
                           # limit denominator 2(1 + B r e^{-i w r}) well away from 0
-_NEWTON_RESIDUAL = 1e-12
-_NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -62,53 +59,6 @@ def char_derivative(lin: LinearPart, lam: complex) -> complex:
     return 1.0 + lin.B * lin.r * cmath.exp(-lam * lin.r)
 
 
-def find_hopf_parameter(B: float, r: float, omega_guess: float) -> tuple[float, HopfPoint]:
-    """Solve F(i*omega; A) = 0 for (A, omega) by a damped 2x2 real Newton.
-
-    Returns the parameter value A at which ``x' = A x + B x(t-r)`` has the
-    eigenvalue pair +- i*omega, together with the verified Hopf point.
-    """
-    if omega_guess <= 0:
-        raise ValueError("omega_guess must be positive")
-    A = 0.0
-    w = omega_guess
-
-    def residual(Av: float, wv: float) -> tuple[float, float, float]:
-        re = -Av - B * math.cos(wv * r)
-        im = wv + B * math.sin(wv * r)
-        return re, im, math.hypot(re, im)
-
-    re, im, res = residual(A, w)
-    for _ in range(_NEWTON_MAX_ITER):
-        if res <= _NEWTON_RESIDUAL:
-            break
-        # J = [[dre/dA, dre/dw], [dim/dA, dim/dw]]
-        j11, j12 = -1.0, B * r * math.sin(w * r)
-        j21, j22 = 0.0, 1.0 + B * r * math.cos(w * r)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300:
-            raise NoHopfError("singular Newton Jacobian while searching for a Hopf point")
-        dA = -(re * j22 - j12 * im) / det
-        dw = -(j11 * im - re * j21) / det
-        # damp by halving while the residual grows
-        step = 1.0
-        for _ in range(60):
-            re2, im2, res2 = residual(A + step * dA, w + step * dw)
-            if res2 < res or step < 1e-12:
-                break
-            step *= 0.5
-        A, w = A + step * dA, w + step * dw
-        re, im, res = re2, im2, res2
-    else:
-        raise NoHopfError(
-            f"Newton did not reach residual {_NEWTON_RESIDUAL} in {_NEWTON_MAX_ITER} iterations"
-        )
-    if w <= 0:
-        raise InvalidRootError(f"Newton converged to non-positive frequency {w}")
-    lin = LinearPart(A, B, r)
-    return A, HopfPoint(w, abs(char_value(lin, 1j * w)), _is_simple(lin, w))
-
-
 def _is_simple(lin: LinearPart, omega: float) -> bool:
     return abs(char_derivative(lin, 1j * omega)) > SIMPLE_TOL
 
@@ -130,42 +80,39 @@ def find_critical_frequency(
 ) -> HopfPoint:
     """Locate omega > 0 with F(i*omega) = 0 for a linear part assumed at a Hopf point.
 
-    Newton on Im F(i*omega) from one or several guesses, each candidate then
-    verified against the full residual.
+    |i omega - A| = |B| at a root, so the only candidate is the closed form
+    omega0 = sqrt(B^2 - A^2); |B| <= |A| leaves none and raises
+    NotHopfPointError. Newton on Im F(i*omega) = omega + B sin(omega r),
+    started at ``omega_hint`` when given and else at omega0, polishes it to
+    the last digits, and :func:`verify_hopf` checks the full residual to ``tol``.
     """
-    r = lin.r
+    r, B = lin.r, lin.B
     if omega_hint is not None:
-        guesses = [float(omega_hint)]
+        w = float(omega_hint)
+    elif abs(B) > abs(lin.A):
+        w = math.sqrt((B - lin.A) * (B + lin.A))
     else:
-        guesses = [k * math.pi / (2.0 * r) for k in range(1, 25)]
-    seen: list[float] = []
-    for guess in guesses:
-        w = guess
-        ok = False
-        for _ in range(80):
-            g = w + lin.B * math.sin(w * r)
-            dg = 1.0 + lin.B * r * math.cos(w * r)
-            if abs(dg) < 1e-14:
-                break
-            w_next = w - g / dg
-            if abs(w_next - w) <= 1e-15 * (1.0 + abs(w)):
-                w = w_next
-                ok = True
-                break
+        raise NotHopfPointError(
+            f"|B| = {abs(B):g} <= |A| = {abs(lin.A):g}: no pure-imaginary eigenvalue pair; "
+            "the model is not at a Hopf point"
+        )
+    ok = False
+    for _ in range(80):
+        g = w + B * math.sin(w * r)
+        dg = 1.0 + B * r * math.cos(w * r)
+        if abs(dg) < 1e-14:
+            break
+        w_next = w - g / dg
+        if abs(w_next - w) <= 1e-15 * (1.0 + abs(w)):
             w = w_next
-        if not ok and abs(w + lin.B * math.sin(w * r)) > 1e-12 * (1.0 + abs(w)):
-            continue
-        if w <= 1e-12 or any(abs(w - s) <= 1e-9 * (1.0 + w) for s in seen):
-            continue
-        seen.append(w)
-    for w in sorted(seen):
-        try:
-            return verify_hopf(lin, w, tol)
-        except NotHopfPointError:
-            continue
-    raise NotHopfPointError(
-        "no pure-imaginary eigenvalue pair found; the model is not at a Hopf point"
-    )
+            ok = True
+            break
+        w = w_next
+    if w <= 1e-12 or (not ok and abs(w + B * math.sin(w * r)) > 1e-12 * (1.0 + abs(w))):
+        raise NotHopfPointError(
+            "Newton on Im F(i*omega) found no positive frequency; the model is not at a Hopf point"
+        )
+    return verify_hopf(lin, w, tol)
 
 
 def count_roots_rect(

@@ -14,14 +14,6 @@ class DomainMismatchError(CenterManifoldError):
     """An argument or interval lies outside a function's domain."""
 
 
-class NoHopfError(CenterManifoldError):
-    """Newton iteration failed to locate a Hopf point."""
-
-
-class InvalidRootError(NoHopfError):
-    """Newton converged, but to a non-positive frequency."""
-
-
 class NotHopfPointError(CenterManifoldError):
     """The characteristic residual at i*omega exceeds the tolerance."""
 

@@ -23,6 +23,7 @@ from .cmcore import (
     ModelSpec,
     SecondOrder,
     ThirdOrder,
+    cubic_f21,
     second_order,
     third_order,
     third_order_rhs,
@@ -54,7 +55,8 @@ def assemble_reduced(
     """Collect the g coefficients needed for the cubic normal form.
 
     Third-order terms other than g21 are not required for the first Lyapunov
-    coefficient and are recorded as absent.
+    coefficient and are recorded as absent. Without ``third``, g21 is
+    ``Psi1(0) f21``, computed alone: it needs none of the w21 system.
     """
     g: dict[tuple[int, int], complex] = {
         (2, 0): so.g20,
@@ -64,7 +66,7 @@ def assemble_reduced(
     if third is not None:
         g[(2, 1)] = third.g21
     else:
-        g[(2, 1)] = third_order_rhs(model, eig, so).g21
+        g[(2, 1)] = eig.Psi1_at_0 * cubic_f21(model, 1j * eig.omega, so, model.lin.r)
     return ReducedEquation(lambda1=1j * eig.omega, g=g)
 
 

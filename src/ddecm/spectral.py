@@ -3,16 +3,20 @@ matrix normalization, and projection coordinates.
 
 The one-delay Stieltjes kernel collapses the pairing to its reduced closed
 form psi(0)*phi(0) + B * int_{-r}^0 psi(z + r) phi(z) dz, which is what is
-implemented; no measure object is materialized.
+implemented; no measure object is materialized. The eigenfunctions are
+single exponentials, so the spectral kit pairs them as scalars, one
+:func:`ddecm.exppoly.moment` each; :func:`bilinear` pairs general
+exponential polynomials.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .chareq import HopfPoint, LinearPart
 from .errors import DegenerateSystemError, DomainMismatchError, InconsistencyError
-from .exppoly import ExpPoly
+from .exppoly import ExpMonomial, ExpPoly, moment
 
 _PAIRING_TOL = 1e-12
 
@@ -54,10 +58,20 @@ def bilinear(psi: ExpPoly, phi: ExpPoly, lin: LinearPart) -> complex:
     return boundary + lin.B * integral
 
 
+def _pairing(psi: ExpMonomial, phi: ExpMonomial, lin: LinearPart) -> complex:
+    """:func:`bilinear` of the one-term psi (on [0, r]) and phi (on [-r, 0]),
+    both of degree 0, as one scalar moment with bilinear's arithmetic."""
+    r = lin.r
+    integral = psi.coeff * cmath.exp(psi.rate * r) * phi.coeff * moment(psi.rate + phi.rate, 0, -r, 0.0)
+    return psi.coeff * phi.coeff + lin.B * integral
+
+
 def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
     """Construct eigenfunctions and their biorthogonal normalization.
 
-    Validates the pairing matrix <Psi_i, phi_j> = delta_ij before returning.
+    e11, e22 and the pairing matrix <Psi_i, phi_j>, validated as delta_ij
+    before returning, are scalar pairings of the one-term eigenfunctions,
+    equal to :func:`bilinear` bit for bit.
     """
     w = hopf.omega
     r = lin.r
@@ -65,9 +79,10 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
     phi2 = phi1.conjugate()
     psi1 = ExpPoly.monomial(1.0, -1j * w, 0, (0.0, r))
     psi2 = psi1.conjugate()
+    p1, p2 = phi1.terms[0], phi2.terms[0]
 
-    e11 = bilinear(psi1, phi1, lin)
-    e22 = bilinear(psi2, phi2, lin)
+    e11 = _pairing(psi1.terms[0], p1, lin)
+    e22 = _pairing(psi2.terms[0], p2, lin)
     # closed form 1 - (A - i w) r; drifts from the pairing only by O(r * Hopf residual)
     e11_closed = 1.0 - (lin.A - 1j * w) * r
     if abs(e11 - e11_closed) > 1e-12 + 2.0 * r * hopf.residual:
@@ -79,7 +94,15 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
 
     Psi1 = psi1.scale(1.0 / e11)
     Psi2 = Psi1.conjugate()
-    eig = EigenData(
+    for i, Psi in ((1, Psi1), (2, Psi2)):
+        for j, phi in ((1, p1), (2, p2)):
+            expected = 1.0 if i == j else 0.0
+            got = _pairing(Psi.terms[0], phi, lin)
+            if abs(got - expected) > _PAIRING_TOL + 2.0 * r * hopf.residual:
+                raise InconsistencyError(
+                    f"biorthogonality failed: <Psi{i}, phi{j}> = {got}, expected {expected}"
+                )
+    return EigenData(
         omega=w,
         phi1=phi1,
         phi2=phi2,
@@ -91,15 +114,6 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
         Psi2=Psi2,
         Psi1_at_0=Psi1.eval(0.0),
     )
-    for i, Psi in ((1, Psi1), (2, Psi2)):
-        for j, phi in ((1, phi1), (2, phi2)):
-            expected = 1.0 if i == j else 0.0
-            got = bilinear(Psi, phi, lin)
-            if abs(got - expected) > _PAIRING_TOL + 2.0 * r * hopf.residual:
-                raise InconsistencyError(
-                    f"biorthogonality failed: <Psi{i}, phi{j}> = {got}, expected {expected}"
-                )
-    return eig
 
 
 def project_coordinates(phi: ExpPoly, eig: EigenData, lin: LinearPart) -> tuple[complex, complex]:

@@ -7,6 +7,7 @@ import pytest
 
 import ddecm.chareq as chareq
 from ddecm.chareq import (
+    HOPF_TOL,
     HopfPoint,
     LinearPart,
     audit_spectrum,
@@ -15,12 +16,11 @@ from ddecm.chareq import (
     count_roots_rect,
     crossing_count,
     find_critical_frequency,
-    find_hopf_parameter,
     verify_hopf,
 )
-from ddecm.errors import NoHopfError, NotHopfPointError, RootOnContourError, SpectrumAuditWarning
+from ddecm.errors import NotHopfPointError, RootOnContourError, SpectrumAuditWarning
 
-from conftest import R2_B, R2_R
+from conftest import HOPF_FAMILY
 
 
 class TestCharValue:
@@ -42,27 +42,6 @@ class TestCharValue:
             lhs = char_value(lin, lam.conjugate())
             rhs = char_value(lin, lam).conjugate()
             assert abs(lhs - rhs) <= 1e-14 * (1 + abs(rhs))
-
-
-class TestFindHopfParameter:
-    @pytest.mark.parametrize("guess", [0.9, 1.4])
-    def test_benchmark_basin(self, guess):
-        A, hopf = find_hopf_parameter(R2_B, R2_R, guess)
-        assert A == pytest.approx(0.0, abs=1e-12)
-        assert hopf.omega == pytest.approx(1.0, abs=1e-12)
-        assert hopf.residual <= 1e-12
-        assert hopf.simple
-
-    def test_no_delay_coupling_fails(self):
-        # B = 0: the only root lambda = A is real
-        with pytest.raises(NoHopfError):
-            find_hopf_parameter(0.0, 1.0, 1.0)
-
-    def test_returned_point_is_root_both_signs(self):
-        A, hopf = find_hopf_parameter(-2.0, 1.0, 1.5)
-        lin = LinearPart(A, -2.0, 1.0)
-        assert abs(char_value(lin, 1j * hopf.omega)) <= 1e-12
-        assert abs(char_value(lin, -1j * hopf.omega)) <= 1e-12
 
 
 class TestVerifyHopf:
@@ -103,6 +82,20 @@ class TestFindCriticalFrequency:
     def test_not_a_hopf_model(self):
         with pytest.raises(NotHopfPointError):
             find_critical_frequency(LinearPart(-1.0, -0.3, 1.0))
+
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_closed_form_frequency_over_family(self, model):
+        lin = model.lin
+        hopf = find_critical_frequency(lin)
+        closed = math.sqrt((lin.B - lin.A) * (lin.B + lin.A))
+        assert abs(hopf.omega - closed) <= 1e-12 * closed
+        assert hopf.residual <= HOPF_TOL
+
+    @pytest.mark.parametrize("A,B", [(1.0, -1.0), (-0.5, -0.5), (2.0, 0.0)])
+    def test_no_pair_when_B_not_above_A(self, A, B):
+        # |B| <= |A|: sqrt(B^2 - A^2) is no positive frequency, so no Newton runs
+        with pytest.raises(NotHopfPointError, match="no pure-imaginary eigenvalue pair"):
+            find_critical_frequency(LinearPart(A, B, 1.0))
 
 
 class TestCountRoots:

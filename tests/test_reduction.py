@@ -8,7 +8,7 @@ import ddecm.cmcore as cmcore
 import ddecm.perturb as perturb
 import ddecm.reduction as reduction
 from ddecm.chareq import HOPF_TOL, find_critical_frequency
-from ddecm.cmcore import ModelSpec, degeneracy_report, second_order, third_order
+from ddecm.cmcore import ModelSpec, degeneracy_report, second_order, third_order, third_order_rhs
 from ddecm.errors import InconsistencyError, ModelFileError
 from ddecm.exppoly import ExpPoly
 from ddecm.modelio import dump_json, report_from_dict, report_to_dict
@@ -23,7 +23,7 @@ from ddecm.reduction import (
 )
 from ddecm.spectral import bilinear, build_eigendata
 
-from conftest import C1, C2, random_hopf_model
+from conftest import C1, C2, HOPF_FAMILY, random_hopf_model
 
 
 class TestAssemble:
@@ -40,6 +40,12 @@ class TestAssemble:
         so = second_order(bench_model_c1, bench_eig)
         red = assemble_reduced(bench_model_c1, bench_eig, so)
         assert red.coeff(0, 2) == pytest.approx(bench_eig.Psi1_at_0 * so.f20.conjugate(), abs=1e-14)
+
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_g21_alone_equals_cubic_stage(self, model):
+        eig = build_eigendata(model.lin, find_critical_frequency(model.lin))
+        so = second_order(model, eig)
+        assert assemble_reduced(model, eig, so).g[(2, 1)] == third_order_rhs(model, eig, so).g21
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):

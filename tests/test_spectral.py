@@ -6,12 +6,12 @@ import random
 
 import pytest
 
-from ddecm.chareq import verify_hopf
-from ddecm.errors import DomainMismatchError
+from ddecm.chareq import HopfPoint, find_critical_frequency, verify_hopf
+from ddecm.errors import DomainMismatchError, InconsistencyError
 from ddecm.exppoly import ExpPoly
 from ddecm.spectral import bilinear, build_eigendata, project_coordinates
 
-from conftest import bilinear_quad, random_hopf_model
+from conftest import HOPF_FAMILY, bilinear_quad, random_hopf_model
 
 
 class TestBilinear:
@@ -78,6 +78,20 @@ class TestBuildEigendata:
     def test_psi2_is_conjugate(self, bench_eig):
         assert bench_eig.Psi2 == bench_eig.Psi1.conjugate()
         assert bench_eig.phi2 == bench_eig.phi1.conjugate()
+
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_scalar_pairings_equal_bilinear(self, model):
+        lin = model.lin
+        eig = build_eigendata(lin, find_critical_frequency(lin))
+        e11 = bilinear(eig.psi1, eig.phi1, lin)
+        assert eig.e11 == e11
+        assert eig.e22 == bilinear(eig.psi2, eig.phi2, lin)
+        assert eig.Psi1_at_0 == eig.psi1.scale(1.0 / e11).eval(0.0)
+
+    def test_frequency_off_the_root_inconsistent(self, bench_lin):
+        # at w = 1.1 the pairing 1 + B r e^{-i w r} misses 1 - (A - i w) r
+        with pytest.raises(InconsistencyError, match="differs from its closed form"):
+            build_eigendata(bench_lin, HopfPoint(1.1, 0.0, True))
 
     def test_random_models(self, rng):
         for _ in range(10):
