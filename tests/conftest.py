@@ -158,12 +158,12 @@ def hopf_curve_model(omega: float, theta: float, k: int, C) -> ModelSpec:
 _TAYLOR_KEYS = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
 
-def hopf_family_sample(seed: int, per_stratum: int = 8) -> list[ModelSpec]:
+def hopf_family_sample(seed: int) -> list[ModelSpec]:
     """Seeded models on the Hopf curve, without ``omega_hint``: for each
     crossing k in {0, 1, 2} and each sign of B, theta at 0.05 from both ends
-    of its half-turn (with omega at 0.03 and 30) and at ``per_stratum - 2``
-    uniform draws between, omega log-uniform on [0.03, 30]; every Taylor
-    coefficient uniform on [-2, 2]."""
+    of its half-turn (with omega at 0.03 and 30) and at six uniform draws
+    between, omega log-uniform on [0.03, 30]; every Taylor coefficient
+    uniform on [-2, 2]."""
     rng = random.Random(seed)
     lo, hi = math.log(0.03), math.log(30.0)
     models = []
@@ -172,7 +172,7 @@ def hopf_family_sample(seed: int, per_stratum: int = 8) -> list[ModelSpec]:
             points = [(0.03, base + 0.05), (30.0, base + math.pi - 0.05)]
             points += [
                 (math.exp(rng.uniform(lo, hi)), base + rng.uniform(0.05, math.pi - 0.05))
-                for _ in range(per_stratum - 2)
+                for _ in range(6)
             ]
             for omega, theta in points:
                 C = {key: rng.uniform(-2.0, 2.0) for key in _TAYLOR_KEYS}
