@@ -7,7 +7,6 @@ from .chareq import (
     HopfPoint,
     LinearPart,
     char_value,
-    count_roots_rect,
     find_critical_frequency,
     verify_hopf,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "bilinear",
     "build_eigendata",
     "char_value",
-    "count_roots_rect",
     "cubic_stage",
     "degeneracy_report",
     "extrapolate_w21",

@@ -1,8 +1,7 @@
 """Characteristic equation lambda - A - B*exp(-lambda*r) = 0 of the linearized
 delay equation: evaluation, the Hopf frequency (seeded by its closed form
-sqrt(B^2 - A^2), polished by Newton on Im F, then verified), the closed-form
-count of roots with nonnegative real part, and argument-principle root
-counting over rectangles.
+sqrt(B^2 - A^2), polished by Newton on Im F, then verified), and the
+closed-form count of roots with nonnegative real part.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    NotHopfPointError,
-    QuadratureError,
-    RootOnContourError,
-    SpectrumAuditWarning,
-)
-from .quadrature import adaptive_simpson
+from .errors import NotHopfPointError, SpectrumAuditWarning
 
 HOPF_TOL = 1e-10          # default acceptance tolerance on |F(i w)|
 SIMPLE_TOL = 1e-8         # simplicity threshold on |F'(i w)|; keeps the
@@ -113,47 +106,6 @@ def find_critical_frequency(
             "Newton on Im F(i*omega) found no positive frequency; the model is not at a Hopf point"
         )
     return verify_hopf(lin, w, tol)
-
-
-def count_roots_rect(
-    lin: LinearPart,
-    rect: tuple[float, float, float, float],
-    tol: float = 1e-6,
-) -> int:
-    """Number of characteristic roots inside ``rect = (re_min, re_max, im_min, im_max)``.
-
-    Winding number of F along the rectangle boundary via adaptive contour
-    quadrature of F'/F; the real part must round to an integer within 0.25.
-    """
-    re_min, re_max, im_min, im_max = rect
-    if not (re_min < re_max and im_min < im_max):
-        raise ValueError(f"degenerate rectangle {rect}")
-    corners = [
-        complex(re_min, im_min),
-        complex(re_max, im_min),
-        complex(re_max, im_max),
-        complex(re_min, im_max),
-        complex(re_min, im_min),
-    ]
-
-    def logderiv(lam: complex) -> complex:
-        fv = char_value(lin, lam)
-        dfv = char_derivative(lin, lam)
-        if abs(fv) <= 1e-8 * (1.0 + abs(dfv)):
-            raise RootOnContourError(f"characteristic root within ~1e-8 of the contour near {lam}")
-        return dfv / fv
-
-    total = 0j
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        seg = z1 - z0
-        total += seg * adaptive_simpson(lambda t: logderiv(z0 + t * seg), 0.0, 1.0, tol=tol / 8.0)
-    winding = (total / (2j * math.pi)).real
-    n = round(winding)
-    if abs(winding - n) > 0.25:
-        raise QuadratureError(
-            f"contour integral {winding:.6f} is not within 0.25 of an integer"
-        )
-    return int(n)
 
 
 def crossing_count(lin: LinearPart, hopf: HopfPoint) -> int:

@@ -14,7 +14,7 @@ import sys
 from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_frequency
 from .ddesim import SimConfig, integrate_dde, measure_frequency
 from .errors import CenterManifoldError, ModelFileError
-from .modelio import dump_json, load_model_file, report_to_dict
+from .modelio import DEFAULT_SIM_HISTORY, dump_json, load_model_file, oracle_to_dict, report_to_dict
 from .perturb import DEFAULT_EPS_GRID, check_eps_grid, extrapolate_w21
 from .reduction import analyze_model, sweep_l1_zeros
 from .spectral import build_eigendata
@@ -104,14 +104,7 @@ def cmd_perturb_check(args: argparse.Namespace) -> int:
     hopf = find_critical_frequency(mf.model.lin, mf.model.omega_hint, args.tol)
     eig = build_eigendata(mf.model.lin, hopf)
     res = extrapolate_w21(mf.model, eig, grid)
-    doc = {
-        "eps_grid": list(res.eps_grid),
-        "estimates": [[e.real, e.imag] for e in res.estimates],
-        "extrapolated": [res.extrapolated.real, res.extrapolated.imag],
-        "closed_form": [res.closed_form.real, res.closed_form.imag],
-        "gap": res.gap_to_closed_form,
-    }
-    _write(args.out, dump_json(doc))
+    _write(args.out, dump_json(oracle_to_dict(res)))
     print(f"perturb-check: gap to closed form = {res.gap_to_closed_form:.3e}")
     return 0
 
@@ -120,9 +113,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mf = load_model_file(args.model)
     r = mf.model.lin.r
     sim = mf.sim
-    dt = sim.dt if sim and sim.dt else r / 40.0
-    horizon = sim.horizon if sim and sim.horizon else 50.0 * r
-    history = sim.history if sim else 0.01
+    dt = sim.dt if sim and sim.dt is not None else r / 40.0
+    horizon = sim.horizon if sim and sim.horizon is not None else 50.0 * r
+    history = sim.history if sim else DEFAULT_SIM_HISTORY
     traj = integrate_dde(mf.model, SimConfig(dt=dt, horizon=horizon, history=history))
     lines = ["t,x"]
     lines.extend(map("{:.17g},{:.17g}".format, traj.times.tolist(), traj.values.tolist()))

@@ -465,7 +465,7 @@ def third_order(
         R1=st.R1,
         R2=st.R2,
         Delta=st.Delta,
-        degeneracy_residual=st.degeneracy().BR1_minus_R2,
+        degeneracy_residual=abs(st.B * st.R1 - st.R2),
         w21_0=w0,
         w21_mr=wmr,
         w21=w21_profile(st, w0),

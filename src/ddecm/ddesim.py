@@ -183,18 +183,21 @@ def integrate_reduced(red: ReducedEquation, u0: complex, cfg: SimConfig) -> Traj
 def measure_frequency(traj: Trajectory, t_min: float) -> float:
     """Angular frequency from the mean spacing of zero crossings after t_min.
 
-    A sample that is exactly 0.0 is a crossing at its own time; a sign change
-    between two samples is a crossing at the linearly interpolated time.
+    A sign change between two adjacent samples is a crossing at the linearly
+    interpolated time. A run of samples that are exactly 0.0 is one crossing,
+    at the time of its first sample, when the nearest nonzero samples before
+    and after it have opposite signs, and none otherwise (a touch, or a flat
+    signal).
     """
     mask = traj.times >= t_min
     ts = traj.times[mask]
     vs = np.real(traj.values[mask])
-    a, b = vs[:-1], vs[1:]
-    change = a * b < 0.0
-    crossings = ts[:-1].copy()
-    lo, hi = ts[:-1][change], ts[1:][change]
-    crossings[change] = lo - a[change] * (hi - lo) / (b[change] - a[change])
-    crossings = crossings[change | (a == 0.0)]
+    nz = np.flatnonzero(vs)
+    flip = (vs[nz[:-1]] < 0.0) != (vs[nz[1:]] < 0.0)
+    i, j = nz[:-1][flip], nz[1:][flip]
+    a, b = vs[i], vs[j]
+    lo, hi = ts[i], ts[j]
+    crossings = np.where(j == i + 1, lo - a * (hi - lo) / (b - a), ts[i + 1])
     if len(crossings) < 5:
         raise TooFewCrossingsError(
             f"only {len(crossings)} zero crossings after t = {t_min:g}; need at least 5"

@@ -18,14 +18,6 @@ class NotHopfPointError(CenterManifoldError):
     """The characteristic residual at i*omega exceeds the tolerance."""
 
 
-class RootOnContourError(CenterManifoldError):
-    """A characteristic root lies (numerically) on the counting contour."""
-
-
-class QuadratureError(CenterManifoldError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
-
-
 class DegenerateSystemError(CenterManifoldError):
     """A normalization or limit denominator is numerically zero."""
 

@@ -20,6 +20,7 @@ from .perturb import ExtrapolationResult, check_eps_grid
 from .reduction import MAX_SWEEP_POINTS, AnalysisReport
 
 REPORT_VERSION = 1
+DEFAULT_SIM_HISTORY = 0.01  # constant history of `simulate` when the sim block names none
 
 _MODEL_KEYS = {"A", "B", "r", "C", "omega_hint", "sweep", "perturb", "sim"}
 _SWEEP_KEYS = {"param", "min", "max", "points"}
@@ -139,7 +140,7 @@ def parse_model_document(doc: Any) -> ModelFile:
         _reject_unknown(blk, _SIM_KEYS, "sim block")
         dt = _number(blk, "dt", "sim block") if "dt" in blk else None
         horizon = _number(blk, "horizon", "sim block") if "horizon" in blk else None
-        history = _number(blk, "history", "sim block") if "history" in blk else 0.01
+        history = _number(blk, "history", "sim block") if "history" in blk else DEFAULT_SIM_HISTORY
         sim = SimBlock(dt=dt, horizon=horizon, history=history)
 
     return ModelFile(model=model, sweep=sweep, eps_grid=eps_grid, sim=sim)
@@ -199,17 +200,19 @@ def model_to_dict(model: ModelSpec) -> dict[str, Any]:
     }
 
 
+def oracle_to_dict(res: ExtrapolationResult) -> dict[str, Any]:
+    """The oracle block of a report, also the whole `perturb-check` document."""
+    return {
+        "eps_grid": list(res.eps_grid),
+        "estimates": [_c(e) for e in res.estimates],
+        "extrapolated": _c(res.extrapolated),
+        "closed_form": _c(res.closed_form),
+        "gap": res.gap_to_closed_form,
+    }
+
+
 def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
     so, third, deg = rep.so, rep.third, rep.degeneracy
-    oracle = None
-    if rep.oracle is not None:
-        oracle = {
-            "eps_grid": list(rep.oracle.eps_grid),
-            "estimates": [_c(e) for e in rep.oracle.estimates],
-            "extrapolated": _c(rep.oracle.extrapolated),
-            "closed_form": _c(rep.oracle.closed_form),
-            "gap": rep.oracle.gap_to_closed_form,
-        }
     return {
         "version": REPORT_VERSION,
         "model": model_to_dict(rep.model),
@@ -239,7 +242,7 @@ def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
             "w21_profile": _poly(third.w21),
             "psi1_w21_pairing": _c(rep.psi1_w21_pairing),
         },
-        "oracle": oracle,
+        "oracle": None if rep.oracle is None else oracle_to_dict(rep.oracle),
         "l1": rep.l1,
     }
 
@@ -312,8 +315,3 @@ def report_from_dict(doc: Mapping[str, Any]) -> AnalysisReport:
 
 def dump_json(doc: Any) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(rep: AnalysisReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(report_to_dict(rep)))

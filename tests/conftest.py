@@ -7,12 +7,15 @@ import dataclasses
 import math
 import random
 
+from typing import Callable
+
 import numpy as np
 import pytest
 
+import ddecm.chareq as chareq
 from ddecm import LinearPart, ModelSpec, build_eigendata, verify_hopf
+from ddecm.errors import CenterManifoldError
 from ddecm.exppoly import ExpMonomial, ExpPoly, moment
-from ddecm.quadrature import adaptive_simpson
 from ddecm.spectral import bilinear
 
 # Benchmark system: x' = a x(t-r) + x(t)^2 + c x(t) x(t-r) with a = -1,
@@ -45,6 +48,102 @@ def bench_model_c1(bench_lin) -> ModelSpec:
 @pytest.fixture(scope="session")
 def bench_model_c2(bench_lin) -> ModelSpec:
     return ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): C2})
+
+
+# --- quadrature oracles: adaptive Simpson and the argument-principle root count
+
+
+class QuadratureError(CenterManifoldError):
+    """Adaptive quadrature failed to converge to the requested tolerance."""
+
+
+class RootOnContourError(CenterManifoldError):
+    """A characteristic root lies (numerically) on the counting contour."""
+
+
+def adaptive_simpson(
+    f: Callable[[float], complex],
+    a: float,
+    b: float,
+    tol: float = 1e-12,
+    max_depth: int = 50,
+) -> complex:
+    """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``."""
+    if b < a:
+        return -adaptive_simpson(f, b, a, tol, max_depth)
+    if a == b:
+        return 0j
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # rounding-noise scale of the whole integral; per-level tolerances are
+    # clamped here so the refinement cannot chase digits that do not exist
+    floor = 1e-16 * (abs(whole) + (b - a) * (abs(fa) + 4.0 * abs(fm) + abs(fb)) / 6.0)
+    return _recurse(f, a, b, fa, fm, fb, whole, tol, max_depth, floor)
+
+
+def _recurse(f, a, b, fa, fm, fb, whole, tol, depth, floor):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * max(tol, floor) or abs(delta) <= 1e-15 * (abs(left) + abs(right)):
+        return left + right + delta / 15.0
+    if depth <= 0:
+        raise QuadratureError(
+            f"adaptive Simpson did not converge on [{a}, {b}] (residual {abs(delta):.3e})"
+        )
+    half = max(0.5 * tol, floor)
+    return _recurse(f, a, m, fa, flm, fm, left, half, depth - 1, floor) + _recurse(
+        f, m, b, fm, frm, fb, right, half, depth - 1, floor
+    )
+
+
+def count_roots_rect(
+    lin: LinearPart,
+    rect: tuple[float, float, float, float],
+    tol: float = 1e-6,
+) -> int:
+    """Number of characteristic roots inside ``rect = (re_min, re_max, im_min, im_max)``.
+
+    Winding number of F along the rectangle boundary via adaptive contour
+    quadrature of F'/F; the real part must round to an integer within 0.25.
+    F and F' are looked up on ``ddecm.chareq`` at each call, so a wrapper
+    installed there (an evaluation counter) sees every evaluation.
+    """
+    re_min, re_max, im_min, im_max = rect
+    if not (re_min < re_max and im_min < im_max):
+        raise ValueError(f"degenerate rectangle {rect}")
+    corners = [
+        complex(re_min, im_min),
+        complex(re_max, im_min),
+        complex(re_max, im_max),
+        complex(re_min, im_max),
+        complex(re_min, im_min),
+    ]
+
+    def logderiv(lam: complex) -> complex:
+        fv = chareq.char_value(lin, lam)
+        dfv = chareq.char_derivative(lin, lam)
+        if abs(fv) <= 1e-8 * (1.0 + abs(dfv)):
+            raise RootOnContourError(f"characteristic root within ~1e-8 of the contour near {lam}")
+        return dfv / fv
+
+    total = 0j
+    for z0, z1 in zip(corners[:-1], corners[1:]):
+        seg = z1 - z0
+        total += seg * adaptive_simpson(lambda t: logderiv(z0 + t * seg), 0.0, 1.0, tol=tol / 8.0)
+    winding = (total / (2j * math.pi)).real
+    n = round(winding)
+    if abs(winding - n) > 0.25:
+        raise QuadratureError(
+            f"contour integral {winding:.6f} is not within 0.25 of an integer"
+        )
+    return int(n)
 
 
 def bilinear_quad(psi, phi, lin, tol=1e-13):

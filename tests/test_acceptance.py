@@ -239,7 +239,7 @@ class TestAcceptance:
                 exact = bilinear(psi, phi, lin)
                 quad = bilinear_quad(psi, phi, lin)
                 worst = max(worst, abs(exact - quad) / (1.0 + abs(exact)))
-            from ddecm.quadrature import adaptive_simpson
+            from conftest import adaptive_simpson
 
             kernel = ExpPoly.monomial(1.0, -1j * w, 0, (-r, 0.0))
             for prof in (so.w20, so.w11, so.w02):

@@ -13,14 +13,13 @@ from ddecm.chareq import (
     audit_spectrum,
     char_derivative,
     char_value,
-    count_roots_rect,
     crossing_count,
     find_critical_frequency,
     verify_hopf,
 )
-from ddecm.errors import NotHopfPointError, RootOnContourError, SpectrumAuditWarning
+from ddecm.errors import NotHopfPointError, SpectrumAuditWarning
 
-from conftest import HOPF_FAMILY
+from conftest import HOPF_FAMILY, RootOnContourError, count_roots_rect
 
 
 class TestCharValue:
@@ -124,6 +123,20 @@ class TestCountRoots:
     def test_degenerate_rectangle(self, bench_lin):
         with pytest.raises(ValueError):
             count_roots_rect(bench_lin, (0.0, 0.0, -1.0, 1.0))
+
+    def test_evaluates_through_chareq_module(self, bench_lin, monkeypatch):
+        # a counter installed on ddecm.chareq (as the benchmark's work limit
+        # is) sees every evaluation of F the test-side counter makes
+        calls = []
+        inner = chareq.char_value
+
+        def counted(lin, lam):
+            calls.append(lam)
+            return inner(lin, lam)
+
+        monkeypatch.setattr(chareq, "char_value", counted)
+        assert count_roots_rect(bench_lin, (-0.2, 0.3, -2.0, 2.0)) == 2
+        assert len(calls) > 100
 
 
 def hopf_lin(omega, theta, k):

@@ -13,7 +13,7 @@ from ddecm.cli import main
 from ddecm.cmcore import second_order
 from ddecm.ddesim import SimConfig, integrate_dde
 from ddecm.errors import ModelFileError, SpectrumAuditWarning
-from ddecm.modelio import load_model_file, parse_model_document
+from ddecm.modelio import dump_json, load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
 from conftest import C1, C2, R2_R, report_drift
@@ -308,6 +308,14 @@ class TestPerturbCheck:
         assert len(doc["estimates"]) == 4
         assert "gap to closed form" in capsys.readouterr().out
 
+    def test_document_is_the_analyze_oracle_block(self, tmp_path):
+        model = os.path.join(ROOT, "models", "benchmark.json")
+        check, report = str(tmp_path / "check.json"), str(tmp_path / "report.json")
+        assert main(["perturb-check", "--model", model, "--out", check]) == 0
+        assert main(["analyze", "--model", model, "--out", report]) == 0
+        oracle = json.loads(open(report).read())["oracle"]
+        assert open(check).read() == dump_json(oracle)
+
     def test_trivial_model_gap_zero(self, tmp_path):
         model = write_model(tmp_path, C={})
         out = str(tmp_path / "check.json")
@@ -347,6 +355,20 @@ class TestSimulate:
         lines = open(out).read().splitlines()
         assert lines[0] == "t,x"
         assert all(float(line.split(",")[1]) == 0.0 for line in lines[1:])
+
+    def test_flat_trajectory_reports_no_frequency(self, tmp_path, capsys):
+        # x = 0 has no zero crossings, so simulate states no frequency
+        model = write_model(tmp_path, sim={"history": 0})
+        assert main(["simulate", "--model", model, "--out", str(tmp_path / "traj.csv")]) == 0
+        assert capsys.readouterr().err == "simulate: 2001 samples\n"
+
+    @pytest.mark.parametrize("field", ["dt", "horizon"])
+    @pytest.mark.parametrize("value", [0, 0.0, -0.04])
+    def test_non_positive_step_or_horizon_exit_1(self, tmp_path, capsys, field, value):
+        # zero is a value, not an absent key: it fails like any non-positive one
+        model = write_model(tmp_path, sim={field: value})
+        assert main(["simulate", "--model", model, "--out", str(tmp_path / "traj.csv")]) == 1
+        assert f"error[ValueError]: {field} must be positive" in capsys.readouterr().err
 
     def test_linear_period(self, tmp_path):
         model = write_model(tmp_path, C={}, sim={"history": 0.01})

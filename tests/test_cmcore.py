@@ -17,7 +17,7 @@ import math
 import pytest
 
 import ddecm.cmcore as cmcore
-from ddecm.chareq import LinearPart, verify_hopf
+from ddecm.chareq import LinearPart, find_critical_frequency, verify_hopf
 from ddecm.cmcore import (
     ModelSpec,
     degeneracy_report,
@@ -33,11 +33,12 @@ from ddecm.errors import InconsistencyError, ResonanceError, ZeroEigenvalueError
 from ddecm.exppoly import ExpPoly, moment
 from ddecm.perturb import make_perturbed, perturbed_stage
 from ddecm.spectral import EigenData, bilinear, build_eigendata
-from ddecm.quadrature import adaptive_simpson
 
 from conftest import (
     C1,
     C2,
+    HOPF_FAMILY,
+    adaptive_simpson,
     bilinear_quad,
     collocation_w21,
     exppoly_stage,
@@ -426,6 +427,13 @@ class TestThirdOrderBundle:
         assert abs(third.Delta) <= 1e-12
         assert third.degeneracy_residual <= 1e-10
         assert abs(third.w21.eval(0.0) - third.w21_0) <= 1e-12
+
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_degeneracy_residual_equals_report(self, model):
+        eig = build_eigendata(model.lin, find_critical_frequency(model.lin))
+        so = second_order(model, eig)
+        third = third_order(model, eig, so)
+        assert third.degeneracy_residual == third_order_rhs(model, eig, so).degeneracy().BR1_minus_R2
 
 
 class TestModelSpec:

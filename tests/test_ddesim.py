@@ -86,12 +86,18 @@ def reference_measure_frequency(traj, t_min):
     ts = traj.times[mask]
     vs = np.real(traj.values[mask])
     crossings = []
-    for i in range(len(vs) - 1):
-        a, b = vs[i], vs[i + 1]
-        if a == 0.0:
-            crossings.append(ts[i])
-        elif a * b < 0.0:
-            crossings.append(ts[i] - a * (ts[i + 1] - ts[i]) / (b - a))
+    prev = None  # index of the last nonzero sample
+    for i in range(len(vs)):
+        b = vs[i]
+        if b == 0.0:
+            continue
+        if prev is not None and (vs[prev] < 0.0) != (b < 0.0):
+            a = vs[prev]
+            if prev == i - 1:
+                crossings.append(ts[prev] - a * (ts[i] - ts[prev]) / (b - a))
+            else:  # a run of zeros between opposite signs: one crossing, at its start
+                crossings.append(ts[prev + 1])
+        prev = i
     if len(crossings) < 5:
         raise TooFewCrossingsError(f"only {len(crossings)} zero crossings")
     spacing = (crossings[-1] - crossings[0]) / (len(crossings) - 1)
@@ -303,7 +309,8 @@ class TestMeasureFrequency:
             measure_frequency(Trajectory(t, np.sin(t)), t_min=0.0)
 
     def test_exact_zero_samples_match_loop(self):
-        # samples that are exactly 0.0, alone and in pairs, count at their own time
+        # samples that are exactly 0.0, alone and in pairs: a run counts once, at
+        # its start, and only between nonzero samples of opposite signs
         t = np.arange(0.0, 40.0, 0.5)
         x = np.round(np.sin(t), 1)
         x[::7] = 0.0
@@ -311,6 +318,28 @@ class TestMeasureFrequency:
         traj = Trajectory(t, x)
         assert np.count_nonzero(x == 0.0) > 10
         assert measure_frequency(traj, t_min=2.0) == reference_measure_frequency(traj, t_min=2.0)
+
+    def test_zero_runs(self):
+        t = np.arange(12.0)
+        # a touch (+, 0, +) is no crossing; (+, 0, 0, -) is one, at the first zero
+        x = np.array([1.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+        crossings = [3.0, 6.0, 7.5]
+        with pytest.raises(TooFewCrossingsError, match="only 3 zero crossings"):
+            measure_frequency(Trajectory(t, x), t_min=0.0)
+        with pytest.raises(TooFewCrossingsError, match="only 3 zero crossings"):
+            reference_measure_frequency(Trajectory(t, x), t_min=0.0)
+        x = np.concatenate([x, [-1.0, 1.0, 0.0, -1.0]])  # two more: 12.5 and 14
+        crossings += [12.5, 14.0]
+        want = math.pi / ((crossings[-1] - crossings[0]) / 4)
+        traj = Trajectory(np.arange(16.0), x)
+        assert measure_frequency(traj, t_min=0.0) == reference_measure_frequency(traj, t_min=0.0) == want
+
+    def test_flat_zero_signal_has_no_crossings(self):
+        traj = Trajectory(np.arange(0.0, 50.0, 0.01), np.zeros(5000))
+        with pytest.raises(TooFewCrossingsError, match="only 0 zero crossings"):
+            measure_frequency(traj, t_min=0.0)
+        with pytest.raises(TooFewCrossingsError, match="only 0 zero crossings"):
+            reference_measure_frequency(traj, t_min=0.0)
 
     def test_simulated_runs_match_loop(self):
         # benchmark-style runs; at small theta = omega r a run has too few crossings

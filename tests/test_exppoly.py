@@ -9,7 +9,8 @@ import pytest
 
 from ddecm.errors import DomainMismatchError
 from ddecm.exppoly import ExpMonomial, ExpPoly
-from ddecm.quadrature import adaptive_simpson
+
+from conftest import adaptive_simpson
 
 HALF_PI = math.pi / 2
 
