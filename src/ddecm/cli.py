@@ -3,13 +3,15 @@
 Subcommands: analyze, sweep, perturb-check, simulate, roots. Exit codes:
 0 success, 1 for I/O or document validation problems, 2 for mathematical
 failures (non-Hopf model, resonance, divergence, ...), each reported with its
-error name.
+error name. Warnings raised on the way are printed the same way, one
+``warning[Name]: message`` line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_frequency
 from .ddesim import SimConfig, integrate_dde, measure_frequency
@@ -30,8 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", required=True, help="path to the JSON model file")
         p.add_argument("--out", required=True, help="path for the output document")
-        p.add_argument("--tol", type=float, default=HOPF_TOL,
-                       help="Hopf verification tolerance (default %(default)g)")
 
     p = sub.add_parser("analyze", help="full reduction: coefficients, w21, oracle gap, l1")
     common(p)
@@ -52,6 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="closed-form count of roots with nonnegative real part")
     common(p)
+
+    for name in ("analyze", "sweep", "perturb-check", "roots"):  # those that verify a Hopf point
+        sub.choices[name].add_argument("--tol", type=float, default=HOPF_TOL,
+                                       help="Hopf verification tolerance (default %(default)g)")
     return parser
 
 
@@ -150,14 +154,20 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ModelFileError, OSError, ValueError) as exc:
+    exc = None
+    # a with block adds no frame: the handler runs at the depth of main's own calls
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _COMMANDS[args.command](args)
+        except (ModelFileError, OSError, ValueError) as err:
+            code, exc = 1, err
+        except CenterManifoldError as err:
+            code, exc = 2, err
+    for w in caught:
+        print(f"warning[{w.category.__name__}]: {w.message}", file=sys.stderr)
+    if exc is not None:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except CenterManifoldError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -147,12 +147,15 @@ def quadratic_data(
     lam: complex,
     psi0: complex,
     model: ModelSpec,
-    det_tol_w20: float = 1e-10,
-    det_tol_w11: float = 1e-10,
-    perturbed: bool = False,
 ) -> SecondOrder:
-    """Solve both quadratic boundary systems and collect the profiles' terms."""
+    """Solve both quadratic boundary systems and collect the profiles' terms.
+
+    A system counts as singular when its determinant is at most 1e-10 at
+    criticality (``mu = 0``) and 1e-12 in a perturbed problem (``mu != 0``).
+    """
     mu = lam.real
+    perturbed = mu != 0.0
+    det_tol = 1e-12 if perturbed else 1e-10
     lamb = lam.conjugate()
     elr = cmath.exp(-lam * r)
     elbr = cmath.exp(-lamb * r)
@@ -168,7 +171,7 @@ def quadratic_data(
 
     # w20: rows (-e^{-2 lam r}, 1), (A - 2 lam, B)
     det20 = 2 * lam - A - B * e2lr
-    if abs(det20) <= det_tol_w20:
+    if abs(det20) <= det_tol:
         raise ResonanceError(
             "singular quadratic system (1:2 resonance)"
             + (" in the perturbed problem" if perturbed else "")
@@ -183,7 +186,7 @@ def quadratic_data(
 
     # w11: rows (-e^{-2 mu r}, 1), (A - 2 mu, B)
     det11 = 2 * mu - A - B * e2mr
-    if abs(det11) <= det_tol_w11:
+    if abs(det11) <= det_tol:
         if perturbed:
             raise ResonanceError(
                 f"singular quadratic system in the perturbed problem: |det| = {abs(det11):.3e}"
@@ -405,23 +408,16 @@ def w21_at_zero(stage: CubicStage) -> complex:
     return h1 / h2
 
 
-def w21_at_minus_r(
-    lin: LinearPart,
-    eig: EigenData,
-    w21_0: complex,
-    R1: complex,
-    R2: complex | None = None,
-    tol: float = 1e-9,
-) -> complex:
-    """w21(-r) from the first system row; optionally re-check the second row."""
-    w = eig.omega
-    value = cmath.exp(-1j * w * lin.r) * w21_0 + R1
-    if R2 is not None:
-        residual = abs(-(1j * w - lin.A) * w21_0 + lin.B * value - R2)
-        if residual > tol * (1.0 + abs(R2)):
-            raise InconsistencyError(
-                f"second system row violated by {residual:.3e}; upstream computation is wrong"
-            )
+def w21_at_minus_r(stage: CubicStage, w21_0: complex) -> complex:
+    """w21(-r) from the first row of the critical ``stage``'s system; the
+    second row must hold to 1e-9 relative to R2."""
+    A, B, lam, R2 = stage.A, stage.B, stage.lam, stage.R2
+    value = cmath.exp(-lam * stage.r) * w21_0 + stage.R1
+    residual = abs(-(lam - A) * w21_0 + B * value - R2)
+    if residual > 1e-9 * (1.0 + abs(R2)):
+        raise InconsistencyError(
+            f"second system row violated by {residual:.3e}; upstream computation is wrong"
+        )
     return value
 
 
@@ -457,7 +453,7 @@ def third_order(
     caller already has it."""
     st = third_order_rhs(model, eig, so) if stage is None else stage
     w0 = w21_at_zero(st)
-    wmr = w21_at_minus_r(model.lin, eig, w0, st.R1, st.R2)
+    wmr = w21_at_minus_r(st, w0)
     return ThirdOrder(
         f21=st.f21,
         g21=st.g21,

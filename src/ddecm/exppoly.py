@@ -1,12 +1,11 @@
 """Exact algebra for exponential polynomials sum_i c_i * s^k_i * exp(l_i * s).
 
-The eigenfunctions, the serialized w profiles and the pairings of
-``spectral`` are exponential polynomials on a closed interval, so addition,
-multiplication, argument shifts, differentiation and definite integration
-all stay inside this class and are computed in closed form. The cubic stage
-and the perturbation oracle skip the algebra and call :func:`moment`, the
-one integrator, on scalar (coeff, rate) pairs; the tests use ExpPoly as
-their oracle.
+ExpPoly builds the eigenfunctions of ``spectral`` and the w profiles a
+report serializes, each on a closed interval. Sums, products, argument
+shifts, derivatives and definite integrals stay inside the class and are
+computed in closed form; the tests use ExpPoly as their oracle. The cubic
+stage and the perturbation oracle skip the algebra and call :func:`moment`,
+the one integrator, on scalar (coeff, rate) pairs.
 """
 
 from __future__ import annotations
@@ -85,10 +84,6 @@ class ExpPoly:
     def monomial(coeff: complex, rate: complex, degree: int, domain: tuple[float, float]) -> "ExpPoly":
         return ExpPoly((ExpMonomial(coeff, rate, degree),), domain)
 
-    @staticmethod
-    def constant(value: complex, domain: tuple[float, float]) -> "ExpPoly":
-        return ExpPoly.monomial(value, 0.0, 0, domain)
-
     # --- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -158,33 +153,12 @@ class ExpPoly:
                 out.append(ExpMonomial(pref * math.comb(t.degree, j) * delta ** (t.degree - j), t.rate, j))
         return ExpPoly(out, (self.domain[0] - delta, self.domain[1] - delta))
 
-    def mul_exp(self, rate: complex) -> "ExpPoly":
-        """Multiply by ``exp(rate * s)`` (shifts every term's rate)."""
-        return ExpPoly(
-            tuple(ExpMonomial(t.coeff, t.rate + rate, t.degree) for t in self.terms), self.domain
-        )
-
     def derivative(self) -> "ExpPoly":
         out = []
         for t in self.terms:
             out.append(ExpMonomial(t.coeff * t.rate, t.rate, t.degree))
             if t.degree > 0:
                 out.append(ExpMonomial(t.coeff * t.degree, t.rate, t.degree - 1))
-        return ExpPoly(out, self.domain)
-
-    def antiderivative(self) -> "ExpPoly":
-        """A primitive of ``p`` as an ExpPoly (integration constant unspecified)."""
-        out = []
-        for t in self.terms:
-            if abs(t.rate) <= 1e-12:
-                out.append(ExpMonomial(t.coeff / (t.degree + 1), 0.0, t.degree + 1))
-            else:
-                # F(s) = e^{ls} P(s) with l*p_j + (j+1)*p_{j+1} = delta_{j,deg}
-                p = t.coeff / t.rate
-                out.append(ExpMonomial(p, t.rate, t.degree))
-                for j in range(t.degree - 1, -1, -1):
-                    p = -(j + 1) * p / t.rate
-                    out.append(ExpMonomial(p, t.rate, j))
         return ExpPoly(out, self.domain)
 
     # --- integration ------------------------------------------------------
@@ -242,7 +216,7 @@ def moment(lam: complex, k: int, a: float, b: float) -> complex:
 
     Three branches keep full precision: an exact polynomial when the rate is
     (relatively) zero, a power series when |rate|*scale is small (where the
-    antiderivative difference would cancel catastrophically), and the
+    primitive's values at a and b would cancel catastrophically), and the
     integration-by-parts closed form otherwise.
     """
     if a == b:
@@ -268,7 +242,7 @@ def moment(lam: complex, k: int, a: float, b: float) -> complex:
             if m > 60:  # pragma: no cover - series always converges long before
                 break
         return total
-    # antiderivative e^{ls} * sum_j p_j s^j, coefficients from the highest degree down
+    # primitive e^{ls} * sum_j p_j s^j, coefficients from the highest degree down
     p = 1.0 / lam
     coeffs = [p]
     for j in range(k - 1, -1, -1):

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .chareq import HopfPoint, LinearPart
-from .cmcore import DegeneracyReport, ModelSpec, SecondOrder, ThirdOrder
+from .chareq import LinearPart
+from .cmcore import ModelSpec
 from .errors import ModelFileError
-from .exppoly import ExpMonomial, ExpPoly
+from .exppoly import ExpPoly
 from .perturb import ExtrapolationResult, check_eps_grid
 from .reduction import MAX_SWEEP_POINTS, AnalysisReport
 
@@ -84,11 +84,12 @@ def parse_model_document(doc: Any) -> ModelFile:
         raise ModelFileError("'C' must be an object mapping \"j,k\" to numbers")
     C: dict[tuple[int, int], float] = {}
     for key, val in c_raw.items():
-        parts = str(key).split(",")
         try:
-            j, k = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
+            j, k = map(int, str(key).split(","))  # exactly two integers
+        except ValueError:
             raise ModelFileError(f"C key {key!r} is not of the form \"j,k\"") from None
+        if (j, k) in C:
+            raise ModelFileError(f"C key {key!r} names C{j},{k} a second time")
         C[(j, k)] = _float(val, f"C[{key!r}]")
     omega_hint = None
     if doc.get("omega_hint") is not None:
@@ -162,10 +163,6 @@ def _c(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _uc(v: Any) -> complex:
-    return complex(v[0], v[1])
-
-
 def _poly(p: ExpPoly) -> dict[str, Any]:
     return {
         "domain": [p.domain[0], p.domain[1]],
@@ -173,21 +170,6 @@ def _poly(p: ExpPoly) -> dict[str, Any]:
             {"coeff": _c(t.coeff), "rate": _c(t.rate), "degree": t.degree} for t in p.terms
         ],
     }
-
-
-def _upoly(d: Mapping[str, Any]) -> ExpPoly:
-    return ExpPoly(
-        tuple(ExpMonomial(_uc(t["coeff"]), _uc(t["rate"]), int(t["degree"])) for t in d["terms"]),
-        (d["domain"][0], d["domain"][1]),
-    )
-
-
-def _uterms(d: Mapping[str, Any]) -> tuple[tuple[complex, complex], ...]:
-    """The (coeff, rate) pairs of a quadratic profile, a sum of pure exponentials."""
-    for t in d["terms"]:
-        if t["degree"] != 0:
-            raise ModelFileError(f"quadratic profile term of degree {t['degree']!r}; only 0 is valid")
-    return tuple((_uc(t["coeff"]), _uc(t["rate"])) for t in d["terms"])
 
 
 def model_to_dict(model: ModelSpec) -> dict[str, Any]:
@@ -245,72 +227,6 @@ def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
         "oracle": None if rep.oracle is None else oracle_to_dict(rep.oracle),
         "l1": rep.l1,
     }
-
-
-def report_from_dict(doc: Mapping[str, Any]) -> AnalysisReport:
-    if doc.get("version") != REPORT_VERSION:
-        raise ModelFileError(f"unsupported report version {doc.get('version')!r}")
-    m = doc["model"]
-    model = ModelSpec(
-        LinearPart(m["A"], m["B"], m["r"]),
-        {tuple(int(x) for x in key.split(",")): v for key, v in m["C"].items()},
-        m.get("omega_hint"),
-    )
-    h = doc["hopf"]
-    so_d = doc["second_order"]
-    so = SecondOrder(
-        f20=_uc(so_d["f20"]), f11=_uc(so_d["f11"]), f02=_uc(so_d["f02"]),
-        g20=_uc(so_d["g20"]), g11=_uc(so_d["g11"]), g02=_uc(so_d["g02"]),
-        w20_0=_uc(so_d["w20_0"]), w20_mr=_uc(so_d["w20_mr"]),
-        w11_0=_uc(so_d["w11_0"]), w11_mr=_uc(so_d["w11_mr"]),
-        w02_0=_uc(so_d["w02_0"]), w02_mr=_uc(so_d["w02_mr"]),
-        t20=_uterms(so_d["profiles"]["w20"]),
-        t11=_uterms(so_d["profiles"]["w11"]),
-        t02=_uterms(so_d["profiles"]["w02"]),
-        r=m["r"],
-    )
-    t_d = doc["third_order"]
-    deg_d = t_d["degeneracy"]
-    third = ThirdOrder(
-        f21=_uc(t_d["f21"]), g21=_uc(t_d["g21"]), g12_bar=_uc(t_d["g12_bar"]),
-        R1=_uc(t_d["R1"]), R2=_uc(t_d["R2"]), Delta=_uc(t_d["Delta"]),
-        degeneracy_residual=t_d["degeneracy_residual"],
-        w21_0=_uc(t_d["w21_0"]), w21_mr=_uc(t_d["w21_mr"]),
-        w21=_upoly(t_d["w21_profile"]),
-    )
-    deg = DegeneracyReport(
-        Delta=_uc(t_d["Delta"]),
-        residual_R1=deg_d["residual_R1"],
-        residual_R2=deg_d["residual_R2"],
-        residual_R3=deg_d["residual_R3"],
-        residual_R4=deg_d["residual_R4"],
-        BR1_minus_R2=deg_d["BR1_minus_R2"],
-    )
-    oracle = None
-    if doc.get("oracle") is not None:
-        o = doc["oracle"]
-        oracle = ExtrapolationResult(
-            eps_grid=tuple(o["eps_grid"]),
-            estimates=tuple(_uc(e) for e in o["estimates"]),
-            extrapolated=_uc(o["extrapolated"]),
-            closed_form=_uc(o["closed_form"]),
-            gap_to_closed_form=o["gap"],
-        )
-    eig = doc["eigen"]
-    return AnalysisReport(
-        model=model,
-        hopf=HopfPoint(h["omega"], h["residual"], h["simple"]),
-        root_count=doc.get("root_count"),
-        e11=_uc(eig["e11"]),
-        e22=_uc(eig["e22"]),
-        Psi1_at_0=_uc(eig["Psi1_at_0"]),
-        so=so,
-        third=third,
-        degeneracy=deg,
-        psi1_w21_pairing=_uc(t_d["psi1_w21_pairing"]),
-        oracle=oracle,
-        l1=doc["l1"],
-    )
 
 
 def dump_json(doc: Any) -> str:

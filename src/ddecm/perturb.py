@@ -119,10 +119,7 @@ def psi_eps1_at_0(p: PerturbedProblem) -> complex:
 def perturbed_stage(model: ModelSpec, p: PerturbedProblem) -> CubicStage:
     """The quadratic and cubic stages of the perturbed problem."""
     psi0 = psi_eps1_at_0(p)
-    so = quadratic_data(
-        p.A_eps, p.B_eps, p.r, p.lambda_eps, psi0, model,
-        det_tol_w20=1e-12, det_tol_w11=1e-12, perturbed=True,
-    )
+    so = quadratic_data(p.A_eps, p.B_eps, p.r, p.lambda_eps, psi0, model)
     return cubic_stage(p.A_eps, p.B_eps, p.r, p.lambda_eps, psi0, model, so)
 
 

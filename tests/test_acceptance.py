@@ -78,7 +78,7 @@ def _endpoints(model, eig):
     so = second_order(model, eig)
     rhs = third_order_rhs(model, eig, so)
     w0 = w21_at_zero(rhs)
-    wmr = w21_at_minus_r(model.lin, eig, w0, rhs.R1, rhs.R2)
+    wmr = w21_at_minus_r(rhs, w0)
     return w0, wmr
 
 

@@ -1,5 +1,6 @@
 """The benchmark harness in ``bench/`` still runs against the package: its
-modules import, and the sweep replay interposes only names that exist.
+modules import, the sweep replay interposes only names that exist, and each
+probe replay writes what the CLI writes.
 
 ``bench/tests`` exercises the harness itself; this module keeps a change to
 ``src/`` that breaks the harness from passing the package's own suite.
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+import ddecm.cli as cli
 import ddecm.reduction as reduction
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -42,3 +44,18 @@ def test_sweep_callees_exist_in_reduction(bench):
     assert callees
     missing = [name for name in callees if not hasattr(reduction, name)]
     assert not missing, f"bench/workloads.py interposes names ddecm.reduction lacks: {missing}"
+
+
+
+def test_probe_replays_match_cli(bench, tmp_path):
+    # the harness counts a failing replay only as a lower match ratio, so a
+    # name it replays that breaks in src/ must fail here
+    workloads = bench["workloads"]
+    model = os.path.join(os.path.dirname(BENCH), "models", "benchmark.json")
+    item = workloads.bundled_item(model)
+    for name, args, replay in workloads.PROBES:
+        out = str(tmp_path / f"{name}.out")
+        assert cli.main([args[0], "--model", model, "--out", out, *args[1:]]) == 0
+        text, _ = replay(bench["tracing"].Tracer(), item, model, out + ".replay")
+        with open(out, encoding="utf-8") as fh:
+            assert text == fh.read(), f"{name}: the replay differs from the CLI output"

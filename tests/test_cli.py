@@ -12,7 +12,7 @@ import ddecm.reduction as reduction
 from ddecm.cli import main
 from ddecm.cmcore import second_order
 from ddecm.ddesim import SimConfig, integrate_dde
-from ddecm.errors import ModelFileError, SpectrumAuditWarning
+from ddecm.errors import ModelFileError
 from ddecm.modelio import dump_json, load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
@@ -52,6 +52,17 @@ class TestModelFile:
     def test_bad_c_key(self):
         with pytest.raises(ModelFileError, match="j,k"):
             parse_model_document({"A": 0, "B": -1, "r": 1.0, "C": {"x": 1.0}})
+
+    def test_c_key_of_three_integers(self):
+        # its first two parts name C2,0, which must not take the value 5
+        with pytest.raises(ModelFileError, match="'2,0,7' is not of the form"):
+            parse_model_document({"A": 0, "B": -1, "r": 1.0, "C": {"2,0": 2.0, "2,0,7": 5.0}})
+
+    def test_c_key_naming_a_coefficient_twice(self, tmp_path, capsys):
+        # "01,1" and "1,1" both name C1,1; neither may silently win
+        model = write_model(tmp_path, C={"1,1": 1.0, "01,1": 5.0})
+        assert main(["roots", "--model", model, "--out", str(tmp_path / "out.json")]) == 1
+        assert "error[ModelFileError]: C key '01,1' names C1,1 a second time" in capsys.readouterr().err
 
     def test_invalid_order(self):
         with pytest.raises(ModelFileError):
@@ -348,6 +359,13 @@ class TestPerturbCheck:
 
 
 class TestSimulate:
+    def test_tol_rejected(self, tmp_path):
+        # simulate verifies no Hopf point, so it has no tolerance to take
+        model = write_model(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--model", model, "--out", str(tmp_path / "t.csv"), "--tol", "123"])
+        assert exit_info.value.code == 2
+
     def test_zero_history_zero_csv(self, tmp_path):
         model = write_model(tmp_path, sim={"history": 0.0})
         out = str(tmp_path / "traj.csv")
@@ -420,9 +438,15 @@ class TestRoots:
         A, B, r = 1.0 / math.tan(4.0), -1.0 / math.sin(4.0), 4.0 + 2.0 * math.pi
         model = write_model(tmp_path, A=A, B=B, r=r, omega_hint=None)
         out = str(tmp_path / "roots.json")
-        with pytest.warns(SpectrumAuditWarning):
-            assert main(["roots", "--model", model, "--out", out]) == 0
+        assert main(["roots", "--model", model, "--out", out]) == 0
         doc = json.loads(open(out).read())
         assert doc["count"] == 5 and doc["crossing"] == 1
         assert doc["omega"] == pytest.approx(1.0, rel=1e-12)
-        assert "crossing 1" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "crossing 1" in captured.out
+        # one line in the error format, free of the install path and source line
+        assert captured.err == (
+            "warning[SpectrumAuditWarning]: spectrum audit counted 5 roots with nonnegative "
+            "real part (expected 2, the critical pair alone)\n"
+        )
+        assert "cli.py" not in captured.err

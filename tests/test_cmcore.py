@@ -218,7 +218,7 @@ class TestW21:
         model = ModelSpec(bench_lin, {})
         so, rhs = pipeline(model, bench_eig)
         assert w21_at_zero(rhs) == 0
-        assert w21_at_minus_r(bench_lin, bench_eig, 0j, rhs.R1, rhs.R2) == 0
+        assert w21_at_minus_r(rhs, 0j) == 0
 
     @pytest.mark.parametrize(
         "cval,want0,wantmr",
@@ -229,7 +229,7 @@ class TestW21:
         model = ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): cval})
         so, rhs = pipeline(model, bench_eig)
         w0 = w21_at_zero(rhs)
-        wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
+        wmr = w21_at_minus_r(rhs, w0)
         assert abs(w0 - want0) <= _FROZEN_TOL
         assert abs(wmr - wantmr) <= _FROZEN_TOL
         args = (bench_lin.A, bench_lin.B, bench_lin.r, bench_eig.omega, model.C)
@@ -266,19 +266,19 @@ class TestW21:
             quad = bilinear_quad(psi, phi, bench_lin)
             assert abs(exact - quad) <= 1e-10 * (1 + abs(exact))
 
-    def test_second_row_consistency_check(self, bench_model_c1, bench_lin, bench_eig):
+    def test_second_row_consistency_check(self, bench_model_c1, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
         # satisfied with the true R2
-        w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
+        w21_at_minus_r(rhs, w0)
         # a corrupted R2 must be caught
         with pytest.raises(InconsistencyError):
-            w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2 + 1.0)
+            w21_at_minus_r(rhs._replace(R2=rhs.R2 + 1.0), w0)
 
     def test_both_rows_satisfied(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
-        wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1)
+        wmr = w21_at_minus_r(rhs, w0)
         w, B, r = bench_eig.omega, bench_lin.B, bench_lin.r
         row1 = abs(-cmath.exp(-1j * w * r) * w0 + wmr - rhs.R1)
         row2 = abs(-(1j * w - bench_lin.A) * w0 + B * wmr - rhs.R2)
@@ -295,7 +295,7 @@ class TestW21Profile:
     def test_endpoint_cross_check(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
         w0 = w21_at_zero(rhs)
-        wmr = w21_at_minus_r(bench_lin, bench_eig, w0, rhs.R1, rhs.R2)
+        wmr = w21_at_minus_r(rhs, w0)
         prof = w21_profile(rhs, w0)
         assert abs(prof.eval(-bench_lin.r) - wmr) <= 1e-10 * (1 + abs(wmr))
 

@@ -190,20 +190,6 @@ class TestAlgebra:
         with pytest.raises(DomainMismatchError):
             _ = p + q
 
-    def test_derivative_antiderivative_roundtrip(self):
-        rng = random.Random(15)
-        p = random_poly(rng, (-1.0, 1.0))
-        back = p.antiderivative().derivative()
-        for _ in range(30):
-            s = rng.uniform(-1.0, 1.0)
-            assert abs(back.eval(s) - p.eval(s)) <= 1e-11 * (1 + abs(p.eval(s)))
-
-    def test_mul_exp_shifts_rates(self):
-        p = ExpPoly.monomial(1.0, 1j, 1, (-1.0, 0.0))
-        q = p.mul_exp(-1j)
-        (t,) = q.terms
-        assert t.rate == 0j and t.degree == 1
-
 
 class TestStructure:
     def test_merge_identical_keys(self):

@@ -9,9 +9,9 @@ import ddecm.perturb as perturb
 import ddecm.reduction as reduction
 from ddecm.chareq import HOPF_TOL, find_critical_frequency
 from ddecm.cmcore import ModelSpec, degeneracy_report, second_order, third_order, third_order_rhs
-from ddecm.errors import InconsistencyError, ModelFileError
+from ddecm.errors import InconsistencyError
 from ddecm.exppoly import ExpPoly
-from ddecm.modelio import dump_json, report_from_dict, report_to_dict
+from ddecm.modelio import dump_json, report_to_dict
 from ddecm.perturb import DEFAULT_EPS_GRID, extrapolate_w21
 from ddecm.reduction import (
     AnalysisReport,
@@ -179,18 +179,6 @@ class TestAnalyzeReport:
         rep1 = analyze_model(bench_model_c1)
         rep2 = analyze_model(bench_model_c1)
         assert dump_json(report_to_dict(rep1)) == dump_json(report_to_dict(rep2))
-
-    def test_round_trip(self, bench_model_c1):
-        rep = analyze_model(bench_model_c1)
-        doc = report_to_dict(rep)
-        back = report_from_dict(doc)
-        assert report_to_dict(back) == doc
-
-    def test_quadratic_profile_of_higher_degree_rejected(self, bench_model_c1):
-        doc = report_to_dict(analyze_model(bench_model_c1, eps_grid=None))
-        doc["second_order"]["profiles"]["w11"]["terms"][0]["degree"] = 1
-        with pytest.raises(ModelFileError, match="degree 1"):
-            report_from_dict(doc)
 
     def test_skipping_oracle(self, bench_model_c1):
         rep = analyze_model(bench_model_c1, eps_grid=None)
