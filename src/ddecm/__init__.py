@@ -27,13 +27,7 @@ from .cmcore import (
 from .ddesim import SimConfig, Trajectory, integrate_dde, integrate_reduced, measure_frequency
 from .errors import CenterManifoldError, ModelFileError
 from .exppoly import ExpMonomial, ExpPoly
-from .perturb import (
-    PerturbedProblem,
-    extrapolate_w21,
-    make_perturbed,
-    perturbed_stage,
-    solve_perturbed_w21,
-)
+from .perturb import extrapolate_w21, perturbed_stage
 from .reduction import (
     AnalysisReport,
     ReducedEquation,
@@ -57,7 +51,6 @@ __all__ = [
     "LinearPart",
     "ModelFileError",
     "ModelSpec",
-    "PerturbedProblem",
     "ReducedEquation",
     "SecondOrder",
     "SimConfig",
@@ -75,12 +68,10 @@ __all__ = [
     "integrate_dde",
     "integrate_reduced",
     "lyapunov_l1",
-    "make_perturbed",
     "measure_frequency",
     "perturbed_stage",
     "project_coordinates",
     "second_order",
-    "solve_perturbed_w21",
     "sweep_l1_zeros",
     "third_order",
     "third_order_rhs",

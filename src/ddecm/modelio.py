@@ -17,7 +17,7 @@ from .cmcore import ModelSpec
 from .errors import ModelFileError
 from .exppoly import ExpPoly
 from .perturb import ExtrapolationResult, check_eps_grid
-from .reduction import MAX_SWEEP_POINTS, AnalysisReport
+from .reduction import MAX_SWEEP_POINTS, AnalysisReport, check_sweep
 
 REPORT_VERSION = 1
 DEFAULT_SIM_HISTORY = 0.01  # constant history of `simulate` when the sim block names none
@@ -110,10 +110,12 @@ def parse_model_document(doc: Any) -> ModelFile:
         lo = _number(blk, "min", "sweep block")
         hi = _number(blk, "max", "sweep block")
         points = blk.get("points")
-        if isinstance(points, bool) or not isinstance(points, int) or not 2 <= points <= MAX_SWEEP_POINTS:
+        if isinstance(points, bool) or not isinstance(points, int):
             raise ModelFileError(f"sweep 'points' must be an integer from 2 to {MAX_SWEEP_POINTS}")
-        if not lo < hi:
-            raise ModelFileError(f"sweep range [{lo}, {hi}] is empty")
+        try:
+            check_sweep(blk["param"], lo, hi, points)
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from None
         sweep = SweepBlock(param=blk["param"], lo=lo, hi=hi, points=points)
 
     eps_grid = None

@@ -1,11 +1,14 @@
-"""Perturbation oracle: a nearby problem whose critical pair is pushed to
-mu_eps + i*omega_eps with mu_eps > 0, making the third-order boundary system
-nonsingular. Solving it on a decreasing grid and extrapolating to zero
-validates the closed-form w21(0) of the critical problem.
+"""Perturbation oracle: the family B_eps = (1 + eps) B at fixed omega, whose
+critical pair moves to mu_eps + i omega with mu_eps > 0 and makes the w21
+boundary system nonsingular. Solving it on a decreasing eps grid and
+extrapolating to zero validates the closed-form w21(0) of the critical
+problem.
 
-The perturbed problem runs the same quadratic and cubic stages as the
-critical one (``cmcore.quadratic_data`` and ``cmcore.cubic_stage`` at
-``lam = mu_eps + i omega``), in scalar closed form, and builds no ExpPoly.
+A family member is a ``cmcore.CubicStage``: the perturbed problem runs the
+same quadratic and cubic stages as the critical one, at ``lam = mu_eps +
+i omega``, in scalar closed form, and builds no ExpPoly. At fixed omega,
+A_eps, mu_eps and lam depend on B_eps alone, so any other scaling of B
+traces the same curve of problems with another parametrization.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .chareq import LinearPart
 from .cmcore import (
     CubicStage,
     ModelSpec,
@@ -26,34 +28,11 @@ from .cmcore import (
     third_order_rhs,
     w21_at_zero,
 )
-from .errors import (
-    DegenerateSystemError,
-    InconsistentFamilyError,
-    NoConvergenceWarning,
-)
+from .errors import InconsistentFamilyError, NoConvergenceWarning
 from .spectral import EigenData
 
 _CHAR_TOL = 1e-12
-_DIRECT_SOLVE_MIN_DET = 1e-14
 _H_FORM_SWITCH = 1e-8  # below this |Delta_eps| the direct solve loses digits
-
-
-@dataclass(frozen=True)
-class PerturbedProblem:
-    """One member of a perturbation family, with its unstable eigenvalue."""
-
-    eps: float
-    A_eps: float
-    B_eps: float
-    mu_eps: float
-    omega_eps: float
-    lambda_eps: complex
-    char_residual: float
-    r: float  # the delay never changes along a family
-
-    @property
-    def lin(self) -> LinearPart:
-        return LinearPart(self.A_eps, self.B_eps, self.r)
 
 
 @dataclass(frozen=True)
@@ -65,29 +44,23 @@ class ExtrapolationResult:
     gap_to_closed_form: float
 
 
-def make_perturbed(
-    lin: LinearPart,
-    omega: float,
-    eps: float,
-    b_factor: Callable[[float], float] | None = None,
-) -> PerturbedProblem:
-    """Build the example family B_eps = B * b_factor(eps) (default 1 + eps).
+def perturbed_stage(model: ModelSpec, omega: float, eps: float) -> CubicStage:
+    """The quadratic and cubic stages of the family member B_eps = (1 + eps) B.
 
     mu_eps solves the imaginary part of the perturbed characteristic equation
-    with omega_eps = omega held fixed; A_eps then follows from the real part.
-    The full characteristic residual is verified before returning.
+    with omega held fixed; A_eps then follows from the real part. The full
+    characteristic residual is verified before the stages run.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    A, B, r = lin.A, lin.B, lin.r
+    B, r = model.lin.B, model.lin.r
     s, c = math.sin(omega * r), math.cos(omega * r)
     if abs(-B * s / omega - 1.0) > 1e-8:
         raise InconsistentFamilyError(
             "linear part is not at the Hopf identity -B sin(w r)/w = 1; "
             "cannot build the perturbation family"
         )
-    factor = b_factor(eps) if b_factor is not None else 1.0 + eps
-    B_eps = B * factor
+    B_eps = B * (1.0 + eps)
     arg = -B_eps * s / omega
     if arg <= 1.0:
         raise InconsistentFamilyError(
@@ -101,45 +74,20 @@ def make_perturbed(
         raise InconsistentFamilyError(
             f"perturbed eigenvalue misses its characteristic equation by {residual:.3e}"
         )
-    return PerturbedProblem(
-        eps=eps, A_eps=A_eps, B_eps=B_eps, mu_eps=mu, omega_eps=omega,
-        lambda_eps=lam, char_residual=residual, r=r,
+    # normalization constant of the perturbed adjoint pair
+    psi0 = (1.0 + (lam.conjugate() - A_eps) * r) / (
+        (1.0 - A_eps * r + mu * r) ** 2 + omega**2 * r**2
     )
-
-
-def psi_eps1_at_0(p: PerturbedProblem) -> complex:
-    """Normalization constant of the perturbed adjoint pair."""
-    lam = p.lambda_eps
-    r = p.r
-    return (1.0 + (lam.conjugate() - p.A_eps) * r) / (
-        (1.0 - p.A_eps * r + p.mu_eps * r) ** 2 + p.omega_eps**2 * r**2
-    )
-
-
-def perturbed_stage(model: ModelSpec, p: PerturbedProblem) -> CubicStage:
-    """The quadratic and cubic stages of the perturbed problem."""
-    psi0 = psi_eps1_at_0(p)
-    so = quadratic_data(p.A_eps, p.B_eps, p.r, p.lambda_eps, psi0, model)
-    return cubic_stage(p.A_eps, p.B_eps, p.r, p.lambda_eps, psi0, model, so)
-
-
-def solve_perturbed_w21(st: CubicStage) -> tuple[complex, complex]:
-    """Direct Cramer solve of the nonsingular perturbed system."""
-    if abs(st.Delta) <= _DIRECT_SOLVE_MIN_DET:
-        raise DegenerateSystemError(
-            f"perturbed determinant {abs(st.Delta):.3e} is too small for a direct "
-            "solve; use the h-decomposition"
-        )
-    w0 = (st.B * st.R1 - st.R2) / st.Delta
-    wmr = st.R1 + cmath.exp(-(2 * st.lam + st.lam.conjugate()) * st.r) * w0
-    return w0, wmr
+    so = quadratic_data(A_eps, B_eps, r, lam, psi0, model)
+    return cubic_stage(A_eps, B_eps, r, lam, psi0, model, so)
 
 
 def w21_estimate(st: CubicStage) -> complex:
-    """w_eps21(0) by direct solve, or by h1/h2 when the determinant is tiny."""
+    """w_eps21(0) by the Cramer solve (B R1 - R2) / Delta of the nonsingular
+    system, or by h1/h2 when the determinant is tiny."""
     if abs(st.Delta) < _H_FORM_SWITCH:
         return w21_at_zero(st)
-    return solve_perturbed_w21(st)[0]
+    return (st.B * st.R1 - st.R2) / st.Delta
 
 
 def _neville_at_zero(xs: Sequence[float], ys: Sequence[complex]) -> complex:
@@ -175,7 +123,6 @@ def extrapolate_w21(
     model: ModelSpec,
     eig: EigenData,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    b_factor: Callable[[float], float] | None = None,
     closed_form: complex | None = None,
 ) -> ExtrapolationResult:
     """Solve the perturbed problems on ``eps_grid``, extrapolate to zero, and
@@ -185,8 +132,7 @@ def extrapolate_w21(
 
     estimates = []
     for eps in grid:
-        p = make_perturbed(model.lin, eig.omega, eps, b_factor)
-        estimates.append(w21_estimate(perturbed_stage(model, p)))
+        estimates.append(w21_estimate(perturbed_stage(model, eig.omega, eps)))
 
     extrapolated = _neville_at_zero(grid, estimates)
     if closed_form is None:

@@ -95,12 +95,25 @@ class SweepResult:
     roots: tuple[float, ...]
 
 
-def _taylor_key(param: str) -> tuple[int, int]:
-    """(j, k) of a ``"Cj,k"`` sweep parameter; anything else is rejected.
+# relative disagreement allowed between the fourth evaluation and the quadratic
+# fitted through the other three, in units of |f(lo)| + |f(mid)| + |f(hi)|
+QUADRATIC_CHECK_TOL = 1e-9
+
+# the largest sweep grid: the grid and its values are held as Python lists
+MAX_SWEEP_POINTS = 10**6
+
+
+def check_sweep(param: str, lo: float, hi: float, n_points: int) -> tuple[int, int]:
+    """(j, k) of a ``"Cj,k"`` sweep parameter, if ``lo < hi`` and ``n_points``
+    is from 2 to ``MAX_SWEEP_POINTS``; ``ValueError`` otherwise.
 
     Only a Taylor coefficient can be swept: moving A, B or r alone leaves
     the Hopf point.
     """
+    if not lo < hi:
+        raise ValueError(f"sweep range [{lo}, {hi}] is empty")
+    if not 2 <= n_points <= MAX_SWEEP_POINTS:
+        raise ValueError(f"n_points must be from 2 to {MAX_SWEEP_POINTS}, got {n_points}")
     try:
         key = tuple(int(part) for part in param[1:].split(",")) if param.startswith("C") else None
     except ValueError:
@@ -111,14 +124,6 @@ def _taylor_key(param: str) -> tuple[int, int]:
             "with 2 <= j+k <= 3 can be swept"
         )
     return key
-
-
-# relative disagreement allowed between the fourth evaluation and the quadratic
-# fitted through the other three, in units of |f(lo)| + |f(mid)| + |f(hi)|
-QUADRATIC_CHECK_TOL = 1e-9
-
-# the largest sweep grid: the grid and its values are held as Python lists
-MAX_SWEEP_POINTS = 10**6
 
 
 def sweep_l1_zeros(
@@ -141,11 +146,7 @@ def sweep_l1_zeros(
     zero is not a sign change and is not reported. The linear part is fixed,
     so the spectral data is computed once. ``jobs`` is accepted and ignored.
     """
-    if not lo < hi:
-        raise ValueError(f"sweep range [{lo}, {hi}] is empty")
-    if not 2 <= n_points <= MAX_SWEEP_POINTS:
-        raise ValueError(f"n_points must be from 2 to {MAX_SWEEP_POINTS}, got {n_points}")
-    key = _taylor_key(param)
+    key = check_sweep(param, lo, hi, n_points)
     hopf = find_critical_frequency(template.lin, template.omega_hint, tol)
     eig = build_eigendata(template.lin, hopf)
 
@@ -231,7 +232,8 @@ def analyze_model(
     so = second_order(model, eig)
     stage = third_order_rhs(model, eig, so)
     third = third_order(model, eig, so, stage)
-    # diagnostic only: the limit w21 is not constrained to be orthogonal to Psi1
+    # diagnostic: <Psi1, w21>, the limit's component along the center
+    # eigenspace; zero in exact arithmetic, so what it measures is rounding
     pairing = bilinear(eig.Psi1, third.w21, model.lin)
     timings["coefficients"] = time.perf_counter() - t1
 

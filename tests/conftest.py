@@ -285,12 +285,11 @@ HOPF_FAMILY = hopf_family_sample(7)
 # --- the ExpPoly route: the algebra the cubic stage's scalar closed forms replaced
 
 
-def perturbed_eigenfunctions(p):
-    """(phi_eps1, phi_eps2) on [-r, 0] and (Psi_eps1, Psi_eps2) on [0, r]."""
-    from ddecm.perturb import psi_eps1_at_0
-
-    phi1 = ExpPoly.monomial(1.0, p.lambda_eps, 0, (-p.r, 0.0))
-    Psi1 = ExpPoly.monomial(psi_eps1_at_0(p), -p.lambda_eps, 0, (0.0, p.r))
+def perturbed_eigenfunctions(st):
+    """(phi_eps1, phi_eps2) on [-r, 0] and (Psi_eps1, Psi_eps2) on [0, r] of a
+    perturbed ``CubicStage``."""
+    phi1 = ExpPoly.monomial(1.0, st.lam, 0, (-st.r, 0.0))
+    Psi1 = ExpPoly.monomial(st.psi0, -st.lam, 0, (0.0, st.r))
     return phi1, phi1.conjugate(), Psi1, Psi1.conjugate()
 
 
@@ -308,9 +307,9 @@ def _kernels(lam: complex, r: float):
     return rho, rho_t
 
 
-def regularized_kernels(p):
-    """rho_eps on [-r, 0] and rho_tilde_eps on [0, r] of a perturbed problem."""
-    return _kernels(p.lambda_eps, p.r)
+def regularized_kernels(st):
+    """rho_eps on [-r, 0] and rho_tilde_eps on [0, r] of a perturbed ``CubicStage``."""
+    return _kernels(st.lam, st.r)
 
 
 def _integral_with_scale(poly: ExpPoly) -> tuple[complex, float]:

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from ddecm.chareq import verify_hopf
+from ddecm.chareq import LinearPart, verify_hopf
 from ddecm.cmcore import (
     ModelSpec,
     degeneracy_report,
@@ -45,13 +45,7 @@ from ddecm.ddesim import (
     reconstruct_state,
 )
 from ddecm.exppoly import ExpPoly
-from ddecm.perturb import (
-    DEFAULT_EPS_GRID,
-    extrapolate_w21,
-    make_perturbed,
-    perturbed_stage,
-    solve_perturbed_w21,
-)
+from ddecm.perturb import DEFAULT_EPS_GRID, extrapolate_w21, perturbed_stage
 from ddecm.reduction import assemble_reduced, sweep_l1_zeros
 from ddecm.spectral import bilinear, build_eigendata, project_coordinates
 
@@ -68,6 +62,7 @@ from conftest import (
     random_hopf_model,
 )
 from test_cmcore import W21_0_C1, W21_0_C2, W21_MR_C1, W21_MR_C2
+from test_perturb import alternate_family
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -157,17 +152,17 @@ class TestAcceptance:
             worst_w = max(worst_w, abs(bilinear(bench_eig.psi2, prof, bench_lin)))
             worst_w = max(worst_w, abs(bilinear(bench_eig.psi1, prof, bench_lin)))
         for eps in (1e-2, 1e-3):
-            p = make_perturbed(bench_lin, R2_OMEGA, eps)
-            phi1, phi2, Psi1, Psi2 = perturbed_eigenfunctions(p)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+            lin = LinearPart(pc.A, pc.B, pc.r)
+            phi1, phi2, Psi1, Psi2 = perturbed_eigenfunctions(pc)
             for i, Psi in ((1, Psi1), (2, Psi2)):
                 for j, phi in ((1, phi1), (2, phi2)):
-                    got = bilinear(Psi, phi, p.lin)
+                    got = bilinear(Psi, phi, lin)
                     worst_pair = max(worst_pair, abs(got - (1.0 if i == j else 0.0)))
-            pc = perturbed_stage(bench_model_c1, p)
-            psi1 = ExpPoly.monomial(1.0, -p.lambda_eps, 0, (0.0, p.r))
+            psi1 = ExpPoly.monomial(1.0, -pc.lam, 0, (0.0, pc.r))
             for prof in (pc.so.w20, pc.so.w11, pc.so.w02):
-                worst_w = max(worst_w, abs(bilinear(psi1, prof, p.lin)))
-                worst_w = max(worst_w, abs(bilinear(psi1.conjugate(), prof, p.lin)))
+                worst_w = max(worst_w, abs(bilinear(psi1, prof, lin)))
+                worst_w = max(worst_w, abs(bilinear(psi1.conjugate(), prof, lin)))
         ok = worst_pair <= 1e-12 and worst_w <= 1e-10
         _verdict(4, ok, f"max |<Psi_i,phi_j>-delta_ij|={worst_pair:.2e}, "
                         f"max |<psi,w_jk>|={worst_w:.2e} (eps in {{0, 1e-2, 1e-3}})")
@@ -189,23 +184,20 @@ class TestAcceptance:
         # direct solve vs h-ratio
         ok_paths = True
         for eps in (1e-2, 1e-3, 1e-4):
-            p = make_perturbed(bench_lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
-            direct, _ = solve_perturbed_w21(pc)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+            direct = (pc.B * pc.R1 - pc.R2) / pc.Delta
             h1, h2 = pc.h()
             ok_paths &= abs(direct - h1 / h2) <= 1e-9 * abs(direct)
         # h2 approaches its limit monotonically on the grid
         limit = 2 * R2_R * R2_OMEGA * 1j - 2 * R2_R * bench_lin.A + 2.0
         h2_gaps = []
         for eps in DEFAULT_EPS_GRID:
-            p = make_perturbed(bench_lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
             _, h2 = pc.h()
             h2_gaps.append(abs(h2 - limit))
         ok_h2 = all(b < a for a, b in zip(h2_gaps, h2_gaps[1:]))
-        # family independence
-        alt = extrapolate_w21(bench_model_c1, bench_eig, b_factor=lambda e: (1.0 + e) ** 2)
-        fam_gap = abs(alt.extrapolated - res.extrapolated)
+        # independence of the family's parametrization: B_eps = (1 + eps)^2 B
+        fam_gap = abs(alternate_family(bench_model_c1, bench_eig, res.eps_grid) - res.extrapolated)
         ok_fam = fam_gap <= 1e-6
         ok = ok_order and ok_gap and ok_paths and ok_h2 and ok_fam
         _verdict(5, ok, f"orders {[f'{o:.2f}' for o in orders]}, extrapolation gap "

@@ -7,8 +7,10 @@ probe replay writes what the CLI writes.
 """
 
 import importlib.util
+import math
 import os
 import sys
+import types
 
 import pytest
 
@@ -45,6 +47,17 @@ def test_sweep_callees_exist_in_reduction(bench):
     missing = [name for name in callees if not hasattr(reduction, name)]
     assert not missing, f"bench/workloads.py interposes names ddecm.reduction lacks: {missing}"
 
+
+def test_traced_run_measurements(bench):
+    # only a --trace 1 run calls these two, so nothing else in this suite
+    # notices when a name they import leaves the package
+    run = bench["run"]
+    model = os.path.join(os.path.dirname(BENCH), "models", "benchmark.json")
+    runner = types.SimpleNamespace(items=[bench["workloads"].bundled_item(model)])
+    micro_us = run.exppoly_micro({}, runner)
+    numpy_s, ddecm_s = run.measure_imports()
+    for value in (micro_us, numpy_s, ddecm_s):
+        assert math.isfinite(value) and value > 0
 
 
 def test_probe_replays_match_cli(bench, tmp_path):

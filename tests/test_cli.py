@@ -298,7 +298,20 @@ class TestSweep:
         model = write_model(tmp_path, sweep={"param": param, "min": -1.2, "max": -0.8, "points": 10})
         assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err
-        assert "error[ValueError]" in err and repr(param) in err and "'Cj,k'" in err
+        assert "error[ModelFileError]" in err and repr(param) in err and "'Cj,k'" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    @pytest.mark.parametrize("sweep,words", [
+        ({"param": "C1,1", "min": -1.2, "max": -0.8, "points": 1}, "from 2 to"),
+        ({"param": "A", "min": -1.2, "max": -0.8, "points": 10}, "'Cj,k'"),
+    ])
+    def test_bad_sweep_block_rejects_the_file(self, tmp_path, capsys, command, sweep, words):
+        # the sweep block is validated when the file loads, whichever command reads it
+        model = write_model(tmp_path, sweep=sweep)
+        assert main([command, "--model", model, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[ModelFileError]: ") and words in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_template_empty_roots(self, tmp_path):
         model = write_model(

@@ -31,7 +31,7 @@ from ddecm.cmcore import (
 )
 from ddecm.errors import InconsistencyError, ResonanceError, ZeroEigenvalueError
 from ddecm.exppoly import ExpPoly, moment
-from ddecm.perturb import make_perturbed, perturbed_stage
+from ddecm.perturb import perturbed_stage
 from ddecm.spectral import EigenData, bilinear, build_eigendata
 
 from conftest import (
@@ -364,7 +364,7 @@ def _curve_stage(omega, theta, k, eps):
     """The critical cubic stage (eps None) or the perturbed one at eps."""
     model = hopf_curve_model(omega, theta, k, CUBIC_C)
     if eps is not None:
-        return perturbed_stage(model, make_perturbed(model.lin, omega, eps))
+        return perturbed_stage(model, omega, eps)
     eig = build_eigendata(model.lin, verify_hopf(model.lin, omega))
     return third_order_rhs(model, eig, second_order(model, eig))
 

@@ -6,16 +6,15 @@ import math
 
 import pytest
 
-from ddecm.chareq import LinearPart
+from ddecm.chareq import LinearPart, char_value
 from ddecm.cmcore import ModelSpec, second_order, third_order_rhs, w21_at_zero
-from ddecm.errors import DegenerateSystemError, InconsistentFamilyError
+from ddecm.errors import InconsistentFamilyError
 from ddecm.exppoly import ExpPoly
 from ddecm.perturb import (
     DEFAULT_EPS_GRID,
+    _neville_at_zero,
     extrapolate_w21,
-    make_perturbed,
     perturbed_stage,
-    solve_perturbed_w21,
     w21_estimate,
 )
 from ddecm.spectral import bilinear
@@ -24,91 +23,102 @@ from conftest import R2_OMEGA, perturbed_eigenfunctions, regularized_kernels
 from test_cmcore import W21_0_C1
 
 
+def cramer_solve(st):
+    """w_eps21(0) and w_eps21(-r) by Cramer's rule on the nonsingular
+    perturbed system of a ``CubicStage``."""
+    w0 = (st.B * st.R1 - st.R2) / st.Delta
+    return w0, st.R1 + cmath.exp(-(2 * st.lam + st.lam.conjugate()) * st.r) * w0
+
+
+def alternate_family(model, eig, grid):
+    """The extrapolation over ``grid`` of the family B_eps = (1 + eps)^2 B: at
+    fixed omega it is the default family at eps' = (1 + eps)^2 - 1, so the
+    same curve of problems, extrapolated in another parameter."""
+    res = extrapolate_w21(model, eig, [(1.0 + e) ** 2 - 1.0 for e in grid])
+    return _neville_at_zero(grid, res.estimates)
+
+
 class TestMakePerturbed:
     def test_benchmark_point_one(self, bench_lin):
         # cos(w r) = 0, so A_eps = mu_eps = (2/pi) ln(1.1)
-        p = make_perturbed(bench_lin, R2_OMEGA, 0.1)
-        assert p.B_eps == pytest.approx(-1.1, abs=1e-15)
-        assert p.mu_eps == pytest.approx(2.0 / math.pi * math.log(1.1), abs=1e-14)
-        assert p.A_eps == pytest.approx(p.mu_eps, abs=1e-14)
-        assert p.char_residual <= 1e-12
+        st = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, 0.1)
+        assert st.B == pytest.approx(-1.1, abs=1e-15)
+        assert st.lam.real == pytest.approx(2.0 / math.pi * math.log(1.1), abs=1e-14)
+        assert st.A == pytest.approx(st.lam.real, abs=1e-14)
+        assert abs(char_value(LinearPart(st.A, st.B, st.r), st.lam)) <= 1e-12
 
     def test_limits_at_vanishing_eps(self, bench_lin):
         prev_mu = None
         for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-            p = make_perturbed(bench_lin, R2_OMEGA, eps)
-            assert p.mu_eps > 0
-            assert abs(p.A_eps - bench_lin.A) <= 2 * eps
-            assert abs(p.B_eps - bench_lin.B) <= 2 * eps
+            st = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, eps)
+            assert st.lam.real > 0
+            assert abs(st.A - bench_lin.A) <= 2 * eps
+            assert abs(st.B - bench_lin.B) <= 2 * eps
             if prev_mu is not None:
-                assert p.mu_eps < prev_mu
-            prev_mu = p.mu_eps
+                assert st.lam.real < prev_mu
+            prev_mu = st.lam.real
 
     def test_no_coupling_fails(self):
         with pytest.raises(InconsistentFamilyError):
-            make_perturbed(LinearPart(0.0, 0.0, 1.0), 1.0, 0.1)
+            perturbed_stage(ModelSpec(LinearPart(0.0, 0.0, 1.0), {}), 1.0, 0.1)
 
     def test_negative_eps_rejected(self, bench_lin):
         with pytest.raises(ValueError):
-            make_perturbed(bench_lin, R2_OMEGA, -0.1)
+            perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, -0.1)
 
-    def test_shrinking_family_fails(self, bench_lin):
-        # b_factor < 1 would push the pair into the stable half-plane
-        with pytest.raises(InconsistentFamilyError):
-            make_perturbed(bench_lin, R2_OMEGA, 0.1, b_factor=lambda e: 1.0 - e)
+    def test_shrinking_family_fails(self):
+        # -B sin(w r)/w = 1 - 5e-9 passes the Hopf identity check, but at
+        # eps = 1e-9 the family still has exp(mu r) < 1: the pair is stable
+        lin = LinearPart(0.0, -(1.0 - 5e-9), math.pi / 2)
+        with pytest.raises(InconsistentFamilyError, match="mu_eps <= 0"):
+            perturbed_stage(ModelSpec(lin, {}), 1.0, 1e-9)
 
 
 class TestPerturbedSpectral:
     @pytest.mark.parametrize("eps", [0.2, 1e-2, 1e-3])
     def test_biorthogonality(self, bench_lin, eps):
-        p = make_perturbed(bench_lin, R2_OMEGA, eps)
-        phi1, phi2, Psi1, Psi2 = perturbed_eigenfunctions(p)
+        st = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, eps)
+        phi1, phi2, Psi1, Psi2 = perturbed_eigenfunctions(st)
         for i, Psi in ((1, Psi1), (2, Psi2)):
             for j, phi in ((1, phi1), (2, phi2)):
-                got = bilinear(Psi, phi, p.lin)
+                got = bilinear(Psi, phi, LinearPart(st.A, st.B, st.r))
                 assert abs(got - (1.0 if i == j else 0.0)) <= 1e-12
 
     def test_normalization_limit(self, bench_lin, bench_eig, bench_model_c1):
-        p = make_perturbed(bench_lin, R2_OMEGA, 1e-8)
-        pc = perturbed_stage(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, 1e-8)
         assert abs(pc.psi0 - bench_eig.Psi1_at_0) <= 1e-6
 
 
 class TestPerturbedCoeffs:
     def test_trivial_model(self, bench_lin):
-        model = ModelSpec(bench_lin, {})
-        p = make_perturbed(bench_lin, R2_OMEGA, 1e-2)
-        pc = perturbed_stage(model, p)
+        pc = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, 1e-2)
         assert pc.f21 == pc.g21 == 0
         assert pc.so.w20.is_zero() and pc.so.w11.is_zero()
 
     def test_continuity_in_eps(self, bench_model_c1, bench_eig):
         so0 = second_order(bench_model_c1, bench_eig)
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-3)
-        pc = perturbed_stage(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, 1e-3)
         assert abs(pc.so.g11 - so0.g11) <= 0.01
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_profiles_orthogonal_to_adjoint(self, bench_model_c1, eps):
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-        pc = perturbed_stage(bench_model_c1, p)
-        r = p.r
-        psi1 = ExpPoly.monomial(1.0, -p.lambda_eps, 0, (0.0, r))
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+        lin = LinearPart(pc.A, pc.B, pc.r)
+        psi1 = ExpPoly.monomial(1.0, -pc.lam, 0, (0.0, pc.r))
         psi2 = psi1.conjugate()
         for prof in (pc.so.w20, pc.so.w11, pc.so.w02):
-            assert abs(bilinear(psi1, prof, p.lin)) <= 1e-10
-            assert abs(bilinear(psi2, prof, p.lin)) <= 1e-10
+            assert abs(bilinear(psi1, prof, lin)) <= 1e-10
+            assert abs(bilinear(psi2, prof, lin)) <= 1e-10
 
     def test_profile_ode_residuals(self, bench_model_c1):
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-2)
-        pc = perturbed_stage(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, 1e-2)
         so = pc.so
-        lam = p.lambda_eps
-        dom = (-p.r, 0.0)
+        lam = pc.lam
+        dom = (-pc.r, 0.0)
         gb11, gb02 = so.g11.conjugate(), so.g02.conjugate()
         for prof, rate, gp, gm in (
             (so.w20, 2 * lam, so.g20, gb02),
-            (so.w11, 2 * p.mu_eps, so.g11, gb11),
+            (so.w11, 2 * lam.real, so.g11, gb11),
         ):
             forcing = ExpPoly.monomial(gp, lam, 0, dom) + ExpPoly.monomial(
                 gm, lam.conjugate(), 0, dom
@@ -120,21 +130,21 @@ class TestPerturbedCoeffs:
 class TestRegularizedKernels:
     def test_eigenfunction_minus_kernel_identity(self, bench_lin):
         # phi_eps1(s) - e^{nu s} = mu * rho_eps(s) pointwise
-        p = make_perturbed(bench_lin, R2_OMEGA, 1e-2)
-        lam = p.lambda_eps
+        st = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, 1e-2)
+        lam = st.lam
         nu = 2 * lam + lam.conjugate()
-        rho, _ = regularized_kernels(p)
+        rho, _ = regularized_kernels(st)
         for k in range(9):
-            s = -p.r + k * p.r / 8
+            s = -st.r + k * st.r / 8
             lhs = cmath.exp(lam * s) - cmath.exp(nu * s)
-            rhs = p.mu_eps * rho.eval(s)
+            rhs = lam.real * rho.eval(s)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
     def test_limit_is_resonant_kernel(self, bench_lin):
-        p = make_perturbed(bench_lin, R2_OMEGA, 1e-9)
-        rho, rho_t = regularized_kernels(p)
+        st = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, 1e-9)
+        rho, rho_t = regularized_kernels(st)
         for k in range(5):
-            s = -p.r + k * p.r / 4
+            s = -st.r + k * st.r / 4
             want = -2 * s * cmath.exp(1j * R2_OMEGA * s)
             assert abs(rho.eval(s) - want) <= 1e-6 * (1 + abs(want))
             z = -s
@@ -145,36 +155,32 @@ class TestRegularizedKernels:
 class TestHDecomposition:
     def test_determinant_factorization(self, bench_model_c1):
         for eps in DEFAULT_EPS_GRID:
-            p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
             h1, h2 = pc.h()
-            assert abs(pc.Delta - p.mu_eps * h2) <= 1e-13 * abs(pc.Delta)
+            assert abs(pc.Delta - pc.lam.real * h2) <= 1e-13 * abs(pc.Delta)
             assert abs(pc.Delta) > 0
 
     def test_stable_form_matches_raw_determinant(self, bench_model_c1):
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-2)
-        pc = perturbed_stage(bench_model_c1, p)
-        lam = p.lambda_eps
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, 1e-2)
+        lam = pc.lam
         nu = 2 * lam + lam.conjugate()
-        raw = -p.B_eps * cmath.exp(-nu * p.r) - p.A_eps + nu
+        raw = -pc.B * cmath.exp(-nu * pc.r) - pc.A + nu
         assert abs(pc.Delta - raw) <= 1e-12
 
     def test_numerator_factorization(self, bench_model_c1):
         for eps in (1e-2, 1e-3):
-            p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
             R1, R2 = pc.R1, pc.R2
             h1, _ = pc.h()
-            lhs = p.B_eps * R1 - R2
-            assert abs(lhs - p.mu_eps * h1) <= 1e-10 * (1.0 + abs(R2))
+            lhs = pc.B * R1 - R2
+            assert abs(lhs - pc.lam.real * h1) <= 1e-10 * (1.0 + abs(R2))
 
     def test_h2_limit(self, bench_model_c1, bench_lin):
         lin = bench_lin
         limit = 2 * lin.r * R2_OMEGA * 1j - 2 * lin.r * lin.A + 2.0
         prev = None
         for eps in DEFAULT_EPS_GRID:
-            p = make_perturbed(lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
             _, h2 = pc.h()
             gap = abs(h2 - limit)
             if prev is not None:
@@ -186,44 +192,32 @@ class TestHDecomposition:
 class TestSolve:
     def test_nonzero_determinant_on_range(self, bench_model_c1):
         for eps in (0.2, 0.1, 0.05, 0.01, 1e-3):
-            p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
             assert abs(pc.Delta) > 0
 
     def test_close_to_limit_at_small_eps(self, bench_model_c1):
         # converges O(eps) to the limit value: the gap is 6.1e-3 at eps = 1e-2
         # and 6.2e-4 at eps = 1e-3
         for eps, bound in ((1e-2, 1e-2), (1e-3, 1e-3)):
-            p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-            pc = perturbed_stage(bench_model_c1, p)
-            w0, _ = solve_perturbed_w21(pc)
+            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+            w0, _ = cramer_solve(pc)
             assert abs(w0 - W21_0_C1) <= bound
 
     def test_trivial_model(self, bench_lin):
-        model = ModelSpec(bench_lin, {})
-        p = make_perturbed(bench_lin, R2_OMEGA, 1e-2)
-        pc = perturbed_stage(model, p)
-        assert solve_perturbed_w21(pc) == (0j, 0j)
-
-    def test_direct_solve_guard(self, bench_model_c1):
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-15)
-        pc = perturbed_stage(bench_model_c1, p)
-        with pytest.raises(DegenerateSystemError):
-            solve_perturbed_w21(pc)
+        pc = perturbed_stage(ModelSpec(bench_lin, {}), R2_OMEGA, 1e-2)
+        assert cramer_solve(pc) == (0j, 0j)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_two_computation_paths_agree(self, bench_model_c1, eps):
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, eps)
-        pc = perturbed_stage(bench_model_c1, p)
-        direct, _ = solve_perturbed_w21(pc)
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+        direct, _ = cramer_solve(pc)
         h1, h2 = pc.h()
         assert abs(direct - h1 / h2) <= 1e-9 * abs(direct)
 
     def test_h_form_used_near_criticality(self, bench_model_c1, bench_eig):
         so = second_order(bench_model_c1, bench_eig)
         closed = w21_at_zero(third_order_rhs(bench_model_c1, bench_eig, so))
-        p = make_perturbed(bench_model_c1.lin, R2_OMEGA, 1e-9)
-        pc = perturbed_stage(bench_model_c1, p)
+        pc = perturbed_stage(bench_model_c1, R2_OMEGA, 1e-9)
         assert abs(pc.Delta) < 1e-8  # direct solve would be hopeless
         est = w21_estimate(pc)
         assert abs(est - closed) <= 1e-6
@@ -257,11 +251,11 @@ class TestExtrapolation:
         assert all(o >= 0.9 for o in orders)
 
     def test_family_independence(self, bench_model_c1, bench_eig):
+        # any scaling of B traces the same curve: the limit must not depend on
+        # how that curve is parametrized
         res_default = extrapolate_w21(bench_model_c1, bench_eig)
-        res_alt = extrapolate_w21(
-            bench_model_c1, bench_eig, b_factor=lambda e: (1.0 + e) ** 2
-        )
-        assert abs(res_default.extrapolated - res_alt.extrapolated) <= 1e-6
+        res_alt = alternate_family(bench_model_c1, bench_eig, DEFAULT_EPS_GRID)
+        assert abs(res_default.extrapolated - res_alt) <= 1e-6
 
     def test_grid_validation(self, bench_model_c1, bench_eig):
         with pytest.raises(ValueError):

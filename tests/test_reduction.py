@@ -175,6 +175,13 @@ class TestSweep:
 
 
 class TestAnalyzeReport:
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_limit_is_psi1_orthogonal(self, model):
+        # w21 has no component along the center eigenspace, so the report's
+        # <Psi1, w21> is rounding: at most 8.8e-10 |w21(0)| over this family
+        rep = analyze_model(model, eps_grid=None)
+        assert abs(rep.psi1_w21_pairing) <= 1e-7 * abs(rep.third.w21_0)
+
     def test_deterministic_serialization(self, bench_model_c1):
         rep1 = analyze_model(bench_model_c1)
         rep2 = analyze_model(bench_model_c1)
