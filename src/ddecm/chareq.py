@@ -57,7 +57,10 @@ def _is_simple(lin: LinearPart, omega: float) -> bool:
 
 
 def verify_hopf(lin: LinearPart, omega: float, tol: float = HOPF_TOL) -> HopfPoint:
-    """Check that +- i*omega solves the characteristic equation to ``tol``."""
+    """Check that +- i*omega solves the characteristic equation to ``tol``,
+    which must be positive and finite (``ValueError`` otherwise)."""
+    if not 0.0 < tol < math.inf:  # nan or inf would accept every residual
+        raise ValueError(f"Hopf tolerance must be positive and finite, got {tol!r}")
     if omega <= 0:
         raise ValueError("omega must be positive")
     res = abs(char_value(lin, 1j * omega))

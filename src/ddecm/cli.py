@@ -16,7 +16,7 @@ import warnings
 from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_frequency
 from .ddesim import SimConfig, integrate_dde, measure_frequency
 from .errors import CenterManifoldError, ModelFileError
-from .modelio import DEFAULT_SIM_HISTORY, dump_json, load_model_file, oracle_to_dict, report_to_dict
+from .modelio import dump_json, load_model_file, oracle_to_dict, report_to_dict
 from .perturb import DEFAULT_EPS_GRID, check_eps_grid, extrapolate_w21
 from .reduction import analyze_model, sweep_l1_zeros
 from .spectral import build_eigendata
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("analyze", "sweep", "perturb-check", "roots"):  # those that verify a Hopf point
         sub.choices[name].add_argument("--tol", type=float, default=HOPF_TOL,
-                                       help="Hopf verification tolerance (default %(default)g)")
+                                       help="Hopf verification tolerance, positive and finite (default %(default)g)")
     return parser
 
 
@@ -115,12 +115,8 @@ def cmd_perturb_check(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     mf = load_model_file(args.model)
-    r = mf.model.lin.r
-    sim = mf.sim
-    dt = sim.dt if sim and sim.dt is not None else r / 40.0
-    horizon = sim.horizon if sim and sim.horizon is not None else 50.0 * r
-    history = sim.history if sim else DEFAULT_SIM_HISTORY
-    traj = integrate_dde(mf.model, SimConfig(dt=dt, horizon=horizon, history=history))
+    r, sim = mf.model.lin.r, mf.sim
+    traj = integrate_dde(mf.model, SimConfig(dt=sim.dt, horizon=sim.horizon, history=sim.history))
     lines = ["t,x"]
     lines.extend(map("{:.17g},{:.17g}".format, traj.times.tolist(), traj.values.tolist()))
     _write(args.out, "\n".join(lines) + "\n")

@@ -110,24 +110,7 @@ def profile_poly(terms: Terms, r: float) -> ExpPoly:
 
 
 @dataclass(frozen=True)
-class ThirdOrder:
-    """Cubic data around the singular system, including the limit w21."""
-
-    f21: complex
-    g21: complex
-    g12_bar: complex
-    R1: complex
-    R2: complex
-    Delta: complex
-    degeneracy_residual: float
-    w21_0: complex
-    w21_mr: complex
-    w21: ExpPoly
-
-
-@dataclass(frozen=True)
 class DegeneracyReport:
-    Delta: complex
     residual_R1: float
     residual_R2: float
     residual_R3: float
@@ -150,8 +133,12 @@ def quadratic_data(
 ) -> SecondOrder:
     """Solve both quadratic boundary systems and collect the profiles' terms.
 
-    A system counts as singular when its determinant is at most 1e-10 at
-    criticality (``mu = 0``) and 1e-12 in a perturbed problem (``mu != 0``).
+    w20 and w11 solve one system at rate rho = 2 lam and rho = 2 mu: the
+    profile is ``K e^{rho s} - (g / d) e^{lam s} - (g' / d') e^{conj(lam) s}``
+    with ``d = rho - lam`` and ``d' = rho - conj(lam)``, and (K, w(-r)) comes
+    from the rows ``(-e^{-rho r}, 1)`` and ``(A - rho, B)``. A system counts
+    as singular when its determinant is at most 1e-10 at criticality
+    (``mu = 0``) and 1e-12 in a perturbed problem (``mu != 0``).
     """
     mu = lam.real
     perturbed = mu != 0.0
@@ -169,37 +156,26 @@ def quadratic_data(
     g20, g11, g02 = psi0 * f20, psi0 * f11, psi0 * f02
     gb11, gb02 = g11.conjugate(), g02.conjugate()
 
-    # w20: rows (-e^{-2 lam r}, 1), (A - 2 lam, B)
-    det20 = 2 * lam - A - B * e2lr
-    if abs(det20) <= det_tol:
-        raise ResonanceError(
-            "singular quadratic system (1:2 resonance)"
-            + (" in the perturbed problem" if perturbed else "")
-            + f": |det| = {abs(det20):.3e}"
-        )
-    rr = 2 * lam - lamb  # = mu + 3 i omega
-    rhs1 = -(g20 / lam) * (elr - e2lr) - (gb02 / rr) * (elbr - e2lr)
-    rhs2 = g20 + gb02 - f20
-    w20_0 = (rhs1 * B - rhs2) / det20
-    w20_mr = (-e2lr * rhs2 - (A - 2 * lam) * rhs1) / det20
-    t20 = ((w20_0 + g20 / lam + gb02 / rr, 2 * lam), (-g20 / lam, lam), (-gb02 / rr, lamb))
+    def solve(rho, erho, g, d, gb, db, f, singular):
+        # erho = e^{-rho r}; singular = (error type, message format of |det|)
+        det = rho - A - B * erho
+        if abs(det) <= det_tol:
+            raise singular[0](singular[1].format(abs(det)))
+        rhs1 = -(g / d) * (elr - erho) - (gb / db) * (elbr - erho)
+        rhs2 = g + gb - f
+        w0 = (rhs1 * B - rhs2) / det
+        wmr = (-erho * rhs2 - (A - rho) * rhs1) / det
+        return w0, wmr, ((w0 + g / d + gb / db, complex(rho)), (-g / d, lam), (-gb / db, lamb))
 
-    # w11: rows (-e^{-2 mu r}, 1), (A - 2 mu, B)
-    det11 = 2 * mu - A - B * e2mr
-    if abs(det11) <= det_tol:
-        if perturbed:
-            raise ResonanceError(
-                f"singular quadratic system in the perturbed problem: |det| = {abs(det11):.3e}"
-            )
-        raise ZeroEigenvalueError(
-            f"w11 system singular: |A + B| = {abs(det11):.3e} (zero eigenvalue)"
-        )
-    rhs1b = -(g11 / lamb) * (elr - e2mr) - (gb11 / lam) * (elbr - e2mr)
-    rhs2b = g11 + gb11 - f11
-    w11_0 = (rhs1b * B - rhs2b) / det11
-    w11_mr = (-e2mr * rhs2b - (A - 2 * mu) * rhs1b) / det11
-    t11 = ((w11_0 + g11 / lamb + gb11 / lam, complex(2 * mu)), (-g11 / lamb, lam), (-gb11 / lam, lamb))
-
+    where = " in the perturbed problem" if perturbed else ""
+    w20_0, w20_mr, t20 = solve(
+        2 * lam, e2lr, g20, lam, gb02, 2 * lam - lamb, f20,
+        (ResonanceError, "singular quadratic system (1:2 resonance)" + where + ": |det| = {:.3e}"),
+    )
+    w11_singular = (ResonanceError, "singular quadratic system" + where + ": |det| = {:.3e}")
+    if not perturbed:
+        w11_singular = (ZeroEigenvalueError, "w11 system singular: |A + B| = {:.3e} (zero eigenvalue)")
+    w11_0, w11_mr, t11 = solve(2 * mu, e2mr, g11, lamb, gb11, lam, f11, w11_singular)
     for c, _ in t20 + t11:
         if not cmath.isfinite(c):
             raise ValueError(f"coeff must be finite, got {c!r}")
@@ -282,7 +258,6 @@ class CubicStage(NamedTuple):
             for c, v, w0 in zip(weights, (self.i20, self.i11, self.i02), (so.w20_0, so.w11_0, so.w02_0))
         )
         return DegeneracyReport(
-            Delta=self.Delta,
             residual_R1=abs(self.B * self.direct - (self.g21 + self.g12_bar - self.f21)),
             residual_R2=res2,
             residual_R3=res3,
@@ -445,24 +420,23 @@ def w21_profile(stage: CubicStage, w21_0: complex) -> ExpPoly:
     return ExpPoly(terms, (-stage.r, 0.0))
 
 
+@dataclass(frozen=True)
+class ThirdOrder:
+    """The critical cubic stage (f21, g21, conj(g12), R1, R2, Delta and the
+    degeneracy identities) and the admissible w21: its endpoints and profile."""
+
+    stage: CubicStage
+    w21_0: complex
+    w21_mr: complex
+    w21: ExpPoly
+
+
 def third_order(
     model: ModelSpec, eig: EigenData, so: SecondOrder, stage: CubicStage | None = None
 ) -> ThirdOrder:
-    """Assemble the critical cubic stage: rhs, degeneracy residual, limit w21,
-    profile. ``stage`` is the stage from :func:`third_order_rhs`, if the
-    caller already has it."""
+    """The critical cubic stage with its limit w21(0), w21(-r) and profile.
+    ``stage`` is the stage from :func:`third_order_rhs`, if the caller
+    already has it."""
     st = third_order_rhs(model, eig, so) if stage is None else stage
     w0 = w21_at_zero(st)
-    wmr = w21_at_minus_r(st, w0)
-    return ThirdOrder(
-        f21=st.f21,
-        g21=st.g21,
-        g12_bar=st.g12_bar,
-        R1=st.R1,
-        R2=st.R2,
-        Delta=st.Delta,
-        degeneracy_residual=abs(st.B * st.R1 - st.R2),
-        w21_0=w0,
-        w21_mr=wmr,
-        w21=w21_profile(st, w0),
-    )
+    return ThirdOrder(st, w0, w21_at_minus_r(st, w0), w21_profile(st, w0))

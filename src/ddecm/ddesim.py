@@ -23,6 +23,8 @@ from .reduction import ReducedEquation
 
 _BLOWUP = 1e6
 _HISTORY_WARN = 0.5
+# the most steps a run may take, ceil(horizon / dt): every step is held in memory
+MAX_SIM_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive")
+        if self.horizon / self.dt > MAX_SIM_STEPS:
+            raise ValueError(f"horizon / dt = {self.horizon / self.dt:.3g} steps exceeds {MAX_SIM_STEPS}")
 
 
 @dataclass(frozen=True)

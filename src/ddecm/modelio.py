@@ -38,8 +38,11 @@ class SweepBlock:
 
 @dataclass(frozen=True)
 class SimBlock:
-    dt: float | None
-    horizon: float | None
+    """The `simulate` settings, each from the sim block or else its default:
+    dt = r / 40, horizon = 50 r and a constant history ``DEFAULT_SIM_HISTORY``."""
+
+    dt: float
+    horizon: float
     history: float
 
 
@@ -48,7 +51,7 @@ class ModelFile:
     model: ModelSpec
     sweep: SweepBlock | None
     eps_grid: tuple[float, ...] | None
-    sim: SimBlock | None
+    sim: SimBlock
 
 
 def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -135,16 +138,15 @@ def parse_model_document(doc: Any) -> ModelFile:
         except ValueError as exc:
             raise ModelFileError(str(exc)) from None
 
-    sim = None
-    if "sim" in doc:
-        blk = doc["sim"]
-        if not isinstance(blk, dict):
-            raise ModelFileError("'sim' must be an object")
-        _reject_unknown(blk, _SIM_KEYS, "sim block")
-        dt = _number(blk, "dt", "sim block") if "dt" in blk else None
-        horizon = _number(blk, "horizon", "sim block") if "horizon" in blk else None
-        history = _number(blk, "history", "sim block") if "history" in blk else DEFAULT_SIM_HISTORY
-        sim = SimBlock(dt=dt, horizon=horizon, history=history)
+    blk = doc.get("sim", {})
+    if not isinstance(blk, dict):
+        raise ModelFileError("'sim' must be an object")
+    _reject_unknown(blk, _SIM_KEYS, "sim block")
+    sim = SimBlock(
+        dt=_number(blk, "dt", "sim block") if "dt" in blk else r / 40.0,
+        horizon=_number(blk, "horizon", "sim block") if "horizon" in blk else 50.0 * r,
+        history=_number(blk, "history", "sim block") if "history" in blk else DEFAULT_SIM_HISTORY,
+    )
 
     return ModelFile(model=model, sweep=sweep, eps_grid=eps_grid, sim=sim)
 
@@ -196,7 +198,7 @@ def oracle_to_dict(res: ExtrapolationResult) -> dict[str, Any]:
 
 
 def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
-    so, third, deg = rep.so, rep.third, rep.degeneracy
+    so, third, st, deg = rep.so, rep.third, rep.third.stage, rep.degeneracy
     return {
         "version": REPORT_VERSION,
         "model": model_to_dict(rep.model),
@@ -212,8 +214,8 @@ def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
             "profiles": {"w20": _poly(so.w20), "w11": _poly(so.w11), "w02": _poly(so.w02)},
         },
         "third_order": {
-            "f21": _c(third.f21), "g21": _c(third.g21), "g12_bar": _c(third.g12_bar),
-            "R1": _c(third.R1), "R2": _c(third.R2), "Delta": _c(third.Delta),
+            "f21": _c(st.f21), "g21": _c(st.g21), "g12_bar": _c(st.g12_bar),
+            "R1": _c(st.R1), "R2": _c(st.R2), "Delta": _c(st.Delta),
             "degeneracy": {
                 "residual_R1": deg.residual_R1,
                 "residual_R2": deg.residual_R2,
@@ -221,7 +223,7 @@ def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
                 "residual_R4": deg.residual_R4,
                 "BR1_minus_R2": deg.BR1_minus_R2,
             },
-            "degeneracy_residual": third.degeneracy_residual,
+            "degeneracy_residual": deg.BR1_minus_R2,
             "w21_0": _c(third.w21_0), "w21_mr": _c(third.w21_mr),
             "w21_profile": _poly(third.w21),
             "psi1_w21_pairing": _c(rep.psi1_w21_pairing),

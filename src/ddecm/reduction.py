@@ -64,7 +64,7 @@ def assemble_reduced(
         (0, 2): so.g02,
     }
     if third is not None:
-        g[(2, 1)] = third.g21
+        g[(2, 1)] = third.stage.g21
     else:
         g[(2, 1)] = eig.Psi1_at_0 * cubic_f21(model, 1j * eig.omega, so, model.lin.r)
     return ReducedEquation(lambda1=1j * eig.omega, g=g)

@@ -69,9 +69,9 @@ def _pairing(psi: ExpMonomial, phi: ExpMonomial, lin: LinearPart) -> complex:
 def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
     """Construct eigenfunctions and their biorthogonal normalization.
 
-    e11, e22 and the pairing matrix <Psi_i, phi_j>, validated as delta_ij
-    before returning, are scalar pairings of the one-term eigenfunctions,
-    equal to :func:`bilinear` bit for bit.
+    e11 and the pairing matrix <Psi_i, phi_j>, validated as delta_ij before
+    returning, are scalar pairings of the one-term eigenfunctions, equal to
+    :func:`bilinear` bit for bit; e22 is the conjugate of e11.
     """
     w = hopf.omega
     r = lin.r
@@ -82,7 +82,7 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
     p1, p2 = phi1.terms[0], phi2.terms[0]
 
     e11 = _pairing(psi1.terms[0], p1, lin)
-    e22 = _pairing(psi2.terms[0], p2, lin)
+    e22 = e11.conjugate()  # the pairing of the conjugate pair
     # closed form 1 - (A - i w) r; drifts from the pairing only by O(r * Hopf residual)
     e11_closed = 1.0 - (lin.A - 1j * w) * r
     if abs(e11 - e11_closed) > 1e-12 + 2.0 * r * hopf.residual:

@@ -7,7 +7,7 @@ import dataclasses
 import math
 import random
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -153,8 +153,25 @@ def bilinear_quad(psi, phi, lin, tol=1e-13):
     return psi.eval(0.0) * phi.eval(0.0) + lin.B * integral
 
 
+class Collocation(NamedTuple):
+    w21_0: complex
+    w21_mr: complex
+    g20: complex
+    g11: complex
+    g02: complex
+    g21: complex
+    l1: float
+
+
 def collocation_w21(A, B, r, omega, C, n=24):
-    """w21(0), w21(-r) from a Chebyshev collocation of the DDE, independent of ddecm.
+    """w21(0), w21(-r) of :func:`collocation_manifold`."""
+    cm = collocation_manifold(A, B, r, omega, C, n)
+    return cm.w21_0, cm.w21_mr
+
+
+def collocation_manifold(A, B, r, omega, C, n=24) -> Collocation:
+    """w21(0), w21(-r), g20, g11, g02, g21 and the first Lyapunov coefficient
+    l1 from a Chebyshev collocation of the DDE, independent of ddecm.
 
     The history segment is sampled at n + 1 Chebyshev points theta_0 = 0 >
     ... > theta_n = -r: rows 1..n differentiate the interpolant, row 0 is
@@ -163,6 +180,8 @@ def collocation_w21(A, B, r, omega, C, n=24):
     (f = sum C[j,k] x^j y^k / (j! k!), eigenvector q with q(0) = 1, left
     eigenvector p with p.q = 1, W = sum w_ij z^i zbar^j / (i! j!)), and the
     uniqueness condition p.w21 = 0 is imposed by the spectral projection q p^T.
+    l1 is Re[(i / 2 w)(g20 g11 - 2|g11|^2 - |g02|^2 / 3) + g21 / 2] at the
+    collocation's own eigenvalue lam = i w (up to its rounding).
     """
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.ones(n + 1)
@@ -214,7 +233,9 @@ def collocation_w21(A, B, r, omega, C, n=24):
     # (2 lam + lam_bar) - M is singular on q; adding q p^T makes it regular, and
     # p.rhs = 0 then forces p.w21 = 0, so the solve returns the admissible w21
     w21 = np.linalg.solve((2 * lam + lam.conjugate()) * eye - M + np.outer(q, p), rhs)
-    return complex(w21[0]), complex(w21[n])
+    g02 = p[0] * d2(qb, qb)
+    l1 = ((1j / (2.0 * lam.imag)) * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0) + g21 / 2.0).real
+    return Collocation(*(complex(v) for v in (w21[0], w21[n], g20, g11, g02, g21)), float(l1))
 
 
 def random_hopf_model(rng: random.Random, max_cubic=True) -> ModelSpec:

@@ -128,7 +128,7 @@ class TestAcceptance:
             so = second_order(model, eig)
             rep = degeneracy_report(model, eig, so)
             rhs = third_order_rhs(model, eig, so)
-            worst_delta = max(worst_delta, abs(rep.Delta))
+            worst_delta = max(worst_delta, abs(rhs.Delta))
             worst_dep = max(worst_dep, rep.BR1_minus_R2 / (1.0 + abs(rhs.R2)))
             worst_identity = max(
                 worst_identity,

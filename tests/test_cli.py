@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,9 +13,9 @@ import ddecm.cli as cli
 import ddecm.reduction as reduction
 from ddecm.cli import main
 from ddecm.cmcore import second_order
-from ddecm.ddesim import SimConfig, integrate_dde
+from ddecm.ddesim import MAX_SIM_STEPS, SimConfig, integrate_dde
 from ddecm.errors import ModelFileError
-from ddecm.modelio import dump_json, load_model_file, parse_model_document
+from ddecm.modelio import DEFAULT_SIM_HISTORY, SimBlock, dump_json, load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
 from conftest import C1, C2, R2_R, report_drift
@@ -44,6 +46,15 @@ class TestModelFile:
         assert mf.model.lin.B == -1.0
         assert mf.model.c(2, 0) == 2.0
         assert mf.model.omega_hint == 1.0
+
+    @pytest.mark.parametrize("sim,want", [
+        (None, SimBlock(R2_R / 40.0, 50.0 * R2_R, DEFAULT_SIM_HISTORY)),
+        ({"horizon": 30.0}, SimBlock(R2_R / 40.0, 30.0, DEFAULT_SIM_HISTORY)),
+        ({"dt": 0.05, "history": 0.002}, SimBlock(0.05, 50.0 * R2_R, 0.002)),
+    ])
+    def test_sim_defaults_resolved(self, tmp_path, sim, want):
+        model = write_model(tmp_path) if sim is None else write_model(tmp_path, sim=sim)
+        assert load_model_file(model).sim == want
 
     def test_unknown_key_named(self):
         with pytest.raises(ModelFileError, match="frobnicate"):
@@ -105,6 +116,19 @@ class TestModelFile:
         model = write_model(tmp_path, **field)
         assert main([command, "--model", model, "--out", str(tmp_path / "out.json")]) == 1
         assert "error[ModelFileError]" in capsys.readouterr().err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "perturb-check", "roots"])
+    def test_not_positive_and_finite_exit_1(self, tmp_path, capsys, command, tol):
+        # nan and inf would accept any residual; 0 and -1 would reject the exact
+        # Hopf point as not one
+        model = write_model(tmp_path, sweep={"param": "C1,1", "min": -4.0, "max": 4.0, "points": 20})
+        argv = [command, "--model", model, "--out", str(tmp_path / "out"), "--tol", tol]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error[ValueError]: Hopf tolerance must be positive and finite, got {float(tol)!r}" in err
 
 
 class TestAnalyze:
@@ -427,6 +451,20 @@ class TestSimulate:
         lines = ["t,x"]
         lines.extend(f"{t:.17g},{x:.17g}" for t, x in zip(traj.times, traj.values))
         assert open(out).read() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("sim", [{"horizon": 1e12}, {"dt": 1e-9}, {"dt": 5e-324, "horizon": 1e308}])
+    def test_step_cap_exit_1(self, tmp_path, sim):
+        # in a process of its own, so that a run which is not stopped fails at
+        # the timeout instead of hanging the suite
+        model = write_model(tmp_path, sim=sim)
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddecm.cli", "simulate", "--model", model, "--out", str(tmp_path / "t.csv")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert f"steps exceeds {MAX_SIM_STEPS}" in proc.stderr
+        assert not os.path.exists(tmp_path / "t.csv")
 
     @pytest.mark.filterwarnings("ignore:history amplitude")
     def test_blow_up_exit_2(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ from ddecm.reduction import (
 )
 from ddecm.spectral import bilinear, build_eigendata
 
-from conftest import C1, C2, HOPF_FAMILY, random_hopf_model
+from conftest import C1, C2, HOPF_FAMILY, collocation_manifold, random_hopf_model
 
 
 class TestAssemble:
@@ -72,6 +72,16 @@ class TestLyapunov:
     def test_requires_imaginary_lambda1(self):
         with pytest.raises(ValueError):
             lyapunov_l1(ReducedEquation(0.1 + 1j, {}))
+
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_agrees_with_collocation(self, model):
+        # an independent route: the l1 of a Chebyshev collocation of the DDE,
+        # which shares no code with the package
+        rep = analyze_model(model, eps_grid=None)
+        lin, w = model.lin, rep.hopf.omega
+        ref = collocation_manifold(lin.A, lin.B, lin.r, w, model.C, n=40)
+        scale = abs(rep.third.stage.g21) + abs(rep.so.g20 * rep.so.g11) / w
+        assert abs(rep.l1 - ref.l1) <= 1e-8 * scale
 
 
 class TestSweep:
