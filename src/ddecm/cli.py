@@ -4,12 +4,15 @@ Subcommands: analyze, sweep, perturb-check, simulate, roots. Exit codes:
 0 success, 1 for I/O or document validation problems, 2 for mathematical
 failures (non-Hopf model, resonance, divergence, ...), each reported with its
 error name. Warnings raised on the way are printed the same way, one
-``warning[Name]: message`` line each.
+``warning[Name]: message`` line each. A usage error (an unknown option, a
+missing ``--model``, ``simulate --tol``) also exits 2, from argparse: in
+process, `main` raises ``SystemExit(2)`` for it instead of returning a code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 
@@ -22,6 +25,7 @@ from .reduction import analyze_model, sweep_l1_zeros
 from .spectral import build_eigendata
 
 
+@functools.cache  # built by the first `main` call; parse_args leaves it unchanged, on errors too
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddecm",

@@ -501,3 +501,45 @@ class TestRoots:
             "real part (expected 2, the critical pair alone)\n"
         )
         assert "cli.py" not in captured.err
+
+
+class TestParser:
+    BUNDLED = os.path.join(ROOT, "models", "benchmark.json")
+
+    def test_reused_parser_writes_what_a_fresh_process_writes(self, tmp_path, capsys):
+        # one parser serves every call of a process, after usage errors and --help too
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--model", self.BUNDLED])
+        assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--help"])
+        assert exit_info.value.code == 0
+        assert "--no-oracle" in capsys.readouterr().out
+        runs = [("analyze", []), ("sweep", []), ("perturb-check", []), ("roots", []), ("analyze", ["--tol", "1e-9"])]
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        for n, (command, extra) in enumerate(runs):
+            here, fresh = tmp_path / f"{n}-here.out", tmp_path / f"{n}-fresh.out"
+            assert main([command, "--model", self.BUNDLED, "--out", str(here), *extra]) == 0
+            argv = [command, "--model", self.BUNDLED, "--out", str(fresh), *extra]
+            subprocess.run([sys.executable, "-m", "ddecm.cli", *argv], env=env, check=True,
+                           capture_output=True, timeout=60)
+            assert here.read_bytes() == fresh.read_bytes()
+
+    def test_import_builds_no_parser(self):
+        # importing the CLI, which the benchmark's setup time measures, builds nothing;
+        # the first main call builds the parser and later calls reuse it
+        code = (
+            "import ddecm.cli as cli\n"
+            "print(cli._build_parser.cache_info().currsize)\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        cli.main(['roots'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "info = cli._build_parser.cache_info()\n"
+            "print(info.currsize, info.misses, info.hits)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split("\n") == ["0", "1 1 1", ""]

@@ -1,18 +1,27 @@
-"""Property tests over the Hopf family.
+"""Property tests over the Hopf family, and of the report writer.
 
 The scaling law: t -> t / w and x -> w x map the problem at (w, theta, k;
 C2, C3) onto the one at (1, theta, k; C2, w C3), where C2 are the quadratic
 and C3 the cubic Taylor coefficients. So w^2 w21 and w l1 do not depend on
 w once C3 is scaled with it.
+
+The paper's theorem: at a Hopf point the two rows of the w21 boundary system
+are dependent, B R1 = R2, through four identities (see
+``cmcore.CubicStage.degeneracy``).
 """
 
+import cmath
+import json
 import math
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ddecm.cli import main
+from ddecm.modelio import dump_json
 from ddecm.reduction import analyze_model
 
-from conftest import hopf_curve_model
+from conftest import HOPF_FAMILY, hopf_curve_model
 
 _TAYLOR_KEYS = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -33,3 +42,73 @@ def test_scaling_law(theta, k, omega, C):
         assert abs(omega**2 * got - want) <= 1e-11 * abs(want)
     scale = abs(ref.l1) + abs(ref.third.stage.g21) + abs(ref.so.g20 * ref.so.g11)
     assert abs(omega * rep.l1 - ref.l1) <= 1e-13 * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(theta=thetas, k=crossings, omega=omegas, C=taylor)
+def test_rows_dependent(theta, k, omega, C):
+    rep = analyze_model(hopf_curve_model(omega, theta, k, C), eps_grid=None)
+    stage, deg = rep.third.stage, rep.degeneracy
+    B, so = stage.B, stage.so
+    assert deg.BR1_minus_R2 <= 1e-10 * (abs(B * stage.R1) + abs(stage.R2))
+    scale = abs(B * stage.direct) + abs(stage.g21) + abs(stage.g12_bar) + abs(stage.f21)
+    assert deg.residual_R1 <= 1e-10 * scale
+    enur = cmath.exp(-(2 * stage.lam + stage.lam.conjugate()) * stage.r)
+    for res, c, i, w0 in zip(
+        (deg.residual_R2, deg.residual_R3, deg.residual_R4), so.forcing_weights,
+        (stage.i20, stage.i11, stage.i02), (so.w20_0, so.w11_0, so.w02_0),
+    ):
+        assert res <= 1e-10 * abs(c) * (abs(B * enur * i) + abs(w0))
+
+
+# --- the report writer: json.dumps(indent=2, sort_keys=True), byte for byte
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+_EDGE_INTS = [2**63, -(2**63) - 1, 10**30, -(10**40)]
+_EDGE_STRINGS = ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t\r", "ωr = θ + 2πk", "\u2028\U0001f600"]
+
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from(_EDGE_INTS),
+    st.floats(), st.sampled_from(_EDGE_FLOATS), st.text(), st.sampled_from(_EDGE_STRINGS),
+)
+keys = st.text() | st.sampled_from(_EDGE_STRINGS)
+trees = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children)
+    | st.just(()) | st.dictionaries(keys, children, max_size=4),
+    max_leaves=40,
+)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(doc=trees)
+@example(doc=[True, 1, False, 0, None])
+@example(doc={"a": {}, "b": [], "c": (), "d": [{}, [[]]]})
+def test_dump_json_is_json_dumps(doc):
+    assert dump_json(doc) == _json(doc)
+
+
+# a key that is not a string is refused, although json.dumps would convert it
+@pytest.mark.parametrize("doc", [{1: 2.0}, [1j], {"x": {1.5}}, b"bytes"])
+def test_dump_json_rejects_non_json(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)
+
+
+@pytest.mark.parametrize("n", range(len(HOPF_FAMILY)))
+def test_cli_documents_are_json_dumps(tmp_path, n):
+    model = HOPF_FAMILY[n]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "A": model.lin.A, "B": model.lin.B, "r": model.lin.r,
+        "C": {f"{j},{k}": v for (j, k), v in model.C.items()},
+    }))
+    out = tmp_path / "out.json"
+    for argv in (["analyze"], ["analyze", "--no-oracle", "--audit"], ["perturb-check"], ["roots"]):
+        assert main([argv[0], "--model", str(path), "--out", str(out), *argv[1:]]) == 0
+        text = out.read_text()
+        assert text == _json(json.loads(text))
