@@ -25,7 +25,9 @@ from .reduction import analyze_model, sweep_l1_zeros
 from .spectral import build_eigendata
 
 
-@functools.cache  # built by the first `main` call; parse_args leaves it unchanged, on errors too
+# One parser per process, built by the first `main` call; parse_args leaves it unchanged,
+# on errors too. Only repeated in-process calls gain: the console script calls `main` once.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddecm",

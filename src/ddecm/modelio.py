@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .chareq import LinearPart
@@ -234,40 +233,5 @@ def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
     }
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def dump_json(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` byte for byte, without
-    json's pure-Python indenting encoder; dict keys must be strings."""
-    out: list[str] = []
-    _emit(doc, "\n", out.append)
-    return "".join(out) + "\n"
-
-
-def _emit(val: Any, nl: str, put) -> None:
-    if isinstance(val, float):  # first: most of a report's values
-        text = float.__repr__(val)
-        put(_NONFINITE.get(text, text))
-    elif isinstance(val, (list, tuple)):
-        inner, sep = nl + "  ", "["
-        for item in val:
-            put(sep + inner)
-            _emit(item, inner, put)
-            sep = ","
-        put(nl + "]" if val else "[]")
-    elif isinstance(val, dict):
-        inner, sep = nl + "  ", "{"
-        for key in sorted(val):
-            put(sep + inner + _quote(key) + ": ")  # _quote raises TypeError for a non-str key
-            _emit(val[key], inner, put)
-            sep = ","
-        put(nl + "}" if val else "{}")
-    elif isinstance(val, str):
-        put(_quote(val))
-    elif val is None or val is True or val is False:  # before int: bool is an int
-        put("null" if val is None else "true" if val else "false")
-    elif isinstance(val, int):
-        put(int.__repr__(val))
-    else:
-        raise TypeError(f"Object of type {type(val).__name__} is not JSON serializable")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
