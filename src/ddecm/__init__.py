@@ -24,7 +24,7 @@ from .cmcore import (
     w21_at_zero,
     w21_profile,
 )
-from .ddesim import SimConfig, Trajectory, integrate_dde, integrate_reduced, measure_frequency
+from .ddesim import SimConfig, Trajectory, integrate_dde, measure_frequency
 from .errors import CenterManifoldError, ModelFileError
 from .exppoly import ExpMonomial, ExpPoly
 from .perturb import extrapolate_w21, perturbed_stage
@@ -36,7 +36,7 @@ from .reduction import (
     lyapunov_l1,
     sweep_l1_zeros,
 )
-from .spectral import EigenData, bilinear, build_eigendata, project_coordinates
+from .spectral import EigenData, bilinear, build_eigendata
 
 __version__ = "0.1.0"
 
@@ -66,11 +66,9 @@ __all__ = [
     "extrapolate_w21",
     "find_critical_frequency",
     "integrate_dde",
-    "integrate_reduced",
     "lyapunov_l1",
     "measure_frequency",
     "perturbed_stage",
-    "project_coordinates",
     "second_order",
     "sweep_l1_zeros",
     "third_order",

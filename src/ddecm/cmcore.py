@@ -168,14 +168,16 @@ def quadratic_data(
         return w0, wmr, ((w0 + g / d + gb / db, complex(rho)), (-g / d, lam), (-gb / db, lamb))
 
     where = " in the perturbed problem" if perturbed else ""
+    w11_singular = (ResonanceError, "singular quadratic system" + where + ": |det| = {:.3e}")
+    if not perturbed:
+        w11_singular = (ZeroEigenvalueError, "w11 system singular: |A + B| = {:.3e} (zero eigenvalue)")
+    # w11 first: on the Hopf curve det20 = (A + B)(2 e^{-i w r} + 1), so a zero
+    # eigenvalue makes both systems singular and is the cause to name
+    w11_0, w11_mr, t11 = solve(2 * mu, e2mr, g11, lamb, gb11, lam, f11, w11_singular)
     w20_0, w20_mr, t20 = solve(
         2 * lam, e2lr, g20, lam, gb02, 2 * lam - lamb, f20,
         (ResonanceError, "singular quadratic system (1:2 resonance)" + where + ": |det| = {:.3e}"),
     )
-    w11_singular = (ResonanceError, "singular quadratic system" + where + ": |det| = {:.3e}")
-    if not perturbed:
-        w11_singular = (ZeroEigenvalueError, "w11 system singular: |A + B| = {:.3e} (zero eigenvalue)")
-    w11_0, w11_mr, t11 = solve(2 * mu, e2mr, g11, lamb, gb11, lam, f11, w11_singular)
     for c, _ in t20 + t11:
         if not cmath.isfinite(c):
             raise ValueError(f"coeff must be finite, got {c!r}")

@@ -1,11 +1,10 @@
-"""Dynamics-level validation: method-of-steps integration of the full delay
-equation and one-step integration of the reduced equation, plus a
-zero-crossing frequency estimator.
+"""Dynamics-level validation of the full delay equation, the only one simulated:
+method-of-steps integration and a zero-crossing frequency estimator.
 
-The full equation is stepped on a grid of which the delay is an exact
-multiple, so delayed values are read at grid nodes and at interval midpoints
-(Bellen & Zennaro, Numerical Methods for Delay Differential Equations, 2003,
-ch. 3: the constrained-mesh method of steps).
+The equation is stepped on a grid of which the delay is an exact multiple, so
+delayed values are read at grid nodes and at interval midpoints (Bellen &
+Zennaro, Numerical Methods for Delay Differential Equations, 2003, ch. 3: the
+constrained-mesh method of steps).
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ import numpy as np
 from .cmcore import ModelSpec
 from .errors import DivergenceError, TooFewCrossingsError
 from .exppoly import ExpPoly
-from .reduction import ReducedEquation
 
 _BLOWUP = 1e6
 _HISTORY_WARN = 0.5
-# the most steps a run may take, ceil(horizon / dt): every step is held in memory
+# the most steps a run may take on its snapped grid: every step is held in memory
 MAX_SIM_STEPS = 10**6
 
 
@@ -38,8 +36,6 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive")
-        if self.horizon / self.dt > MAX_SIM_STEPS:
-            raise ValueError(f"horizon / dt = {self.horizon / self.dt:.3g} steps exceeds {MAX_SIM_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,8 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     """
     lin = model.lin
     r = lin.r
+    if cfg.horizon / cfg.dt > MAX_SIM_STEPS:  # inf too: r / dt is finite past this check
+        raise ValueError(f"horizon / dt = {cfg.horizon / cfg.dt:.3g} steps exceeds {MAX_SIM_STEPS}")
     if cfg.dt > r / 20:
         raise ValueError(f"dt must be at most r/20 = {r / 20:.6g}")
     if cfg.horizon < 10 * r:
@@ -110,6 +108,8 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     n_hist = max(20, int(math.ceil(r / cfg.dt)))
     dt = r / n_hist
     n = int(math.ceil(cfg.horizon / dt))
+    if n > MAX_SIM_STEPS:  # the snapped step is up to 5 % shorter than cfg.dt
+        raise ValueError(f"horizon / (r / {n_hist}) = {n} steps exceeds {MAX_SIM_STEPS}")
 
     hist = _history_fn(cfg, r)
     a = _rhs_table(model)
@@ -154,36 +154,6 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     return Trajectory(times=np.arange(n + 1) * dt, values=np.array(xs))
 
 
-def integrate_reduced(red: ReducedEquation, u0: complex, cfg: SimConfig) -> Trajectory:
-    """One-step 4th-order integration of the complex scalar reduced equation."""
-    if abs(u0) > 0.5:
-        raise ValueError("|u0| must be at most 0.5 for the cubic truncation to be meaningful")
-    lam = red.lambda1
-    items = [((j, k), g, math.factorial(j) * math.factorial(k)) for (j, k), g in red.g.items()]
-
-    def rhs(u: complex) -> complex:
-        out = lam * u
-        ub = u.conjugate()
-        for (j, k), g, fact in items:
-            out += g * u**j * ub**k / fact
-        return out
-
-    n = int(math.ceil(cfg.horizon / cfg.dt))
-    dt = cfg.horizon / n
-    us = np.empty(n + 1, dtype=complex)
-    us[0] = u0
-    for i in range(n):
-        u = us[i]
-        if abs(u) > _BLOWUP:
-            raise DivergenceError(f"|u| exceeded {_BLOWUP:g} at t = {i * dt:.6g}", time=i * dt)
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        us[i + 1] = u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Trajectory(times=np.arange(n + 1) * dt, values=us)
-
-
 def measure_frequency(traj: Trajectory, t_min: float) -> float:
     """Angular frequency from the mean spacing of zero crossings after t_min.
 
@@ -226,12 +196,3 @@ def manifold_history(
     if third is not None:
         out = out + third.w21.scale(u0 * u0 * ub / 2) + third.w21.conjugate().scale(u0 * ub * ub / 2)
     return out
-
-
-def reconstruct_state(u: complex, so, third=None) -> float:
-    """Head-point value x(t) ~ 2 Re u + sum w_jk(0) u^j ubar^k / (j! k!)."""
-    ub = u.conjugate()
-    val = 2 * u.real + (so.w20_0 * u * u / 2 + so.w11_0 * u * ub + so.w02_0 * ub * ub / 2).real
-    if third is not None:
-        val += (third.w21_0 * u * u * ub).real  # w21 and conj(w12) terms combine
-    return val

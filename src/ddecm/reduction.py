@@ -73,8 +73,10 @@ def assemble_reduced(
 def lyapunov_l1(red: ReducedEquation) -> float:
     """First Lyapunov coefficient of the cubic normal form.
 
-    Convention: Re[(i / 2 w)(g20 g11 - 2|g11|^2 - |g02|^2 / 3) + g21 / 2]; only
-    its sign and zeros are contract-level, and those are convention-invariant.
+    Convention: Re[(i / 2 w)(g20 g11 - 2|g11|^2 - |g02|^2 / 3) + g21 / 2]. Its
+    magnitude, not only its sign and zeros, is part of the contract: at
+    B -> (1 + eps) B the cycle has amplitude 2 sqrt(-Re lambda'(0) eps / l1)
+    (Hassard, Kazarinoff & Wan, 1981), which the tests check on the full equation.
     """
     if abs(red.lambda1.real) > 1e-9 * (1.0 + abs(red.lambda1)):
         raise ValueError("lambda1 must be purely imaginary at criticality")

@@ -1,5 +1,5 @@
-"""Critical-eigenspace machinery: the Hale bilinear pairing, the eigenfunction
-matrix normalization, and projection coordinates.
+"""Critical-eigenspace machinery: the Hale bilinear pairing and the
+eigenfunction matrix normalization.
 
 The one-delay Stieltjes kernel collapses the pairing to its reduced closed
 form psi(0)*phi(0) + B * int_{-r}^0 psi(z + r) phi(z) dz, which is what is
@@ -114,8 +114,3 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
         Psi2=Psi2,
         Psi1_at_0=Psi1.eval(0.0),
     )
-
-
-def project_coordinates(phi: ExpPoly, eig: EigenData, lin: LinearPart) -> tuple[complex, complex]:
-    """Coordinates (u, u_bar) = (<Psi1, phi>, <Psi2, phi>) of phi on the critical plane."""
-    return bilinear(eig.Psi1, phi, lin), bilinear(eig.Psi2, phi, lin)

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 import ddecm.chareq as chareq
-from ddecm import LinearPart, ModelSpec, build_eigendata, verify_hopf
+from ddecm import (
+    LinearPart,
+    ModelSpec,
+    SimConfig,
+    Trajectory,
+    analyze_model,
+    build_eigendata,
+    integrate_dde,
+    verify_hopf,
+)
 from ddecm.errors import CenterManifoldError
 from ddecm.exppoly import ExpMonomial, ExpPoly, moment
 from ddecm.spectral import bilinear
@@ -273,6 +282,46 @@ def hopf_curve_model(omega: float, theta: float, k: int, C) -> ModelSpec:
     B = -w / sin theta, r = (theta + 2 pi k) / w (B > 0 for pi < theta < 2 pi)."""
     lin = LinearPart(omega / math.tan(theta), -omega / math.sin(theta), (theta + 2 * math.pi * k) / omega)
     return ModelSpec(lin, C, omega_hint=omega)
+
+
+# Taylor coefficients with l1 < 0 at (w, theta, 0) for theta in [1.5, 2.8]
+SUPERCRITICAL_C = {(2, 0): 0.5, (1, 1): -0.3, (3, 0): -1.0, (1, 2): -0.5}
+
+
+def hopf_amplitude_run(model: ModelSpec, eps: float, start: float) -> tuple[Trajectory, float]:
+    """The Hopf amplitude law on the full equation (Hassard, Kazarinoff & Wan,
+    Theory and Applications of Hopf Bifurcation, 1981).
+
+    At B -> (1 + eps) B with A and r fixed, the critical pair moves at
+    lambda'(0) = (i w - A) Psi1(0) = (i w - A) / (1 + r (i w - A)), and the
+    cycle born at the Hopf point has amplitude a = 2 sqrt(-Re lambda'(0) eps / l1),
+    with ``l1`` from ``analyze_model``: stable when l1 < 0 < eps, unstable when
+    eps < 0 < l1. Runs ``integrate_dde`` on the perturbed model with dt = r / 40
+    from the constant history ``start * a`` for 60 / (2 Re lambda'(0) |eps|) time
+    units and returns the trajectory with a.
+    """
+    lin = model.lin
+    rep = analyze_model(model, eps_grid=None)
+    rate = ((1j * rep.hopf.omega - lin.A) * rep.Psi1_at_0).real
+    amp = 2.0 * math.sqrt(-rate * eps / rep.l1)
+    perturbed = ModelSpec(LinearPart(lin.A, (1.0 + eps) * lin.B, lin.r), model.C)
+    cfg = SimConfig(dt=lin.r / 40, horizon=60.0 / (2.0 * rate * abs(eps)), history=start * amp)
+    return integrate_dde(perturbed, cfg), amp
+
+
+def half_peak_to_peak(traj: Trajectory) -> float:
+    """Amplitude of the last 10 % of a run."""
+    tail = traj.values[int(0.9 * len(traj.values)):]
+    return 0.5 * float(tail.max() - tail.min())
+
+
+def amplitude_ratio_limit(model: ModelSpec) -> float:
+    """Measured over predicted amplitude of the stable cycle (l1 < 0), from a
+    history of 0.3 times the prediction, extrapolated linearly in eps to 0 from
+    eps = 0.02 and 0.01: 2 R(0.01) - R(0.02)."""
+    r02, r01 = (half_peak_to_peak(traj) / amp for traj, amp in
+                (hopf_amplitude_run(model, eps, 0.3) for eps in (0.02, 0.01)))
+    return 2.0 * r01 - r02
 
 
 _TAYLOR_KEYS = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))

@@ -18,7 +18,7 @@ from ddecm.errors import ModelFileError
 from ddecm.modelio import DEFAULT_SIM_HISTORY, SimBlock, dump_json, load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
-from conftest import C1, C2, R2_R, report_drift
+from conftest import C1, C2, R2_R, hopf_curve_model, report_drift
 from test_cmcore import W21_0_C1
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -236,6 +236,17 @@ class TestAnalyze:
         code = main(["analyze", "--model", model, "--out", str(tmp_path / "r.json"), "--tol", "10"])
         assert code == 2
         assert "ZeroEigenvalueError" in capsys.readouterr().err
+        # a true fold-Hopf point, where the w20 system is singular as well
+        lin = hopf_curve_model(1e-6, 1e-6, 1, {}).lin
+        model = write_model(tmp_path, A=lin.A, B=lin.B, r=lin.r, C={"2,0": 1.0}, omega_hint=1e-6)
+        assert main(["analyze", "--model", model, "--out", str(tmp_path / "r.json")]) == 2
+        assert "error[ZeroEigenvalueError]: w11 system singular" in capsys.readouterr().err
+
+    def test_degenerate_pairing_exit_2(self, tmp_path, capsys):
+        lin = hopf_curve_model(1.0, 1e-7, 0, {}).lin
+        model = write_model(tmp_path, A=lin.A, B=lin.B, r=lin.r, C={"2,0": 1.0}, omega_hint=None)
+        assert main(["analyze", "--model", model, "--out", str(tmp_path / "r.json")]) == 2
+        assert "error[DegenerateSystemError]: pairing matrix is degenerate" in capsys.readouterr().err
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -452,7 +463,13 @@ class TestSimulate:
         lines.extend(f"{t:.17g},{x:.17g}" for t, x in zip(traj.times, traj.values))
         assert open(out).read() == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("sim", [{"horizon": 1e12}, {"dt": 1e-9}, {"dt": 5e-324, "horizon": 1e308}])
+    @pytest.mark.parametrize("sim", [
+        {"horizon": 1e12},
+        {"dt": 1e-9},
+        {"dt": 5e-324, "horizon": 1e308},
+        # horizon / dt = 999000, but the step snaps to r / 21: 1048426 steps
+        {"dt": R2_R / 20.01, "horizon": 999_000 * R2_R / 20.01},
+    ])
     def test_step_cap_exit_1(self, tmp_path, sim):
         # in a process of its own, so that a run which is not stopped fails at
         # the timeout instead of hanging the suite

@@ -136,6 +136,13 @@ class TestSecondOrder:
         eig = _fake_eig(lin, 0.9477)
         with pytest.raises(ZeroEigenvalueError):
             second_order(ModelSpec(lin, {(2, 0): 1.0}), eig)
+        # a true fold-Hopf point, A + B = -5e-13: on the Hopf curve the w20
+        # determinant is (A + B)(2 e^{-i w r} + 1), so both systems are singular
+        # and the zero eigenvalue is the cause named
+        model = hopf_curve_model(1e-6, 1e-6, 1, {(2, 0): 1.0})
+        eig = build_eigendata(model.lin, verify_hopf(model.lin, model.omega_hint))
+        with pytest.raises(ZeroEigenvalueError, match="zero eigenvalue"):
+            second_order(model, eig)
 
 
 def _fake_eig(lin: LinearPart, omega: float) -> EigenData:

@@ -1,5 +1,5 @@
-"""Method-of-steps integrator, reduced-equation integrator, frequency
-measurement, and dynamic validation of the computed manifold coefficients."""
+"""Method-of-steps integrator, frequency measurement, and dynamic validation
+of the computed manifold coefficients and of l1 by the Hopf amplitude law."""
 
 import math
 import random
@@ -15,13 +15,18 @@ from ddecm.ddesim import (
     Trajectory,
     _history_fn,
     integrate_dde,
-    integrate_reduced,
     manifold_history,
     measure_frequency,
-    reconstruct_state,
 )
 from ddecm.errors import DivergenceError, TooFewCrossingsError
-from ddecm.reduction import ReducedEquation, assemble_reduced
+
+from conftest import (
+    SUPERCRITICAL_C,
+    amplitude_ratio_limit,
+    half_peak_to_peak,
+    hopf_amplitude_run,
+    hopf_curve_model,
+)
 
 C_KEYS = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -244,40 +249,6 @@ class TestReferenceIntegrator:
         np.testing.assert_array_equal(traj.times, np.arange(n + 1) * dt)
 
 
-class TestIntegrateReduced:
-    def test_zero_start(self):
-        red = ReducedEquation(1j, {})
-        traj = integrate_reduced(red, 0j, SimConfig(dt=0.01, horizon=10.0, history=0.0))
-        assert np.all(traj.values == 0)
-
-    def test_pure_rotation_conserves_modulus(self):
-        red = ReducedEquation(1j, {})
-        traj = integrate_reduced(red, 0.3 + 0j, SimConfig(dt=0.01, horizon=10.0, history=0.0))
-        assert np.max(np.abs(np.abs(traj.values) - 0.3)) <= 1e-10
-
-    def test_cubic_radial_law(self):
-        # u' = i u + (g21/2) u^2 ubar has |u|' = l1 |u|^3 exactly, with the
-        # closed-form solution r(t) = r0 / sqrt(1 - 2 l1 r0^2 t)
-        g21 = complex(-0.8, 0.3)
-        l1 = g21.real / 2
-        red = ReducedEquation(1j, {(2, 1): g21})
-        r0 = 0.1
-        T = 10.0
-        traj = integrate_reduced(red, r0 + 0j, SimConfig(dt=0.005, horizon=T, history=0.0))
-        want = r0 / math.sqrt(1.0 - 2.0 * l1 * r0**2 * T)
-        assert abs(abs(traj.values[-1]) - want) <= 1e-9
-
-    def test_amplitude_cap(self):
-        with pytest.raises(ValueError):
-            integrate_reduced(ReducedEquation(1j, {}), 0.6, SimConfig(dt=0.01, horizon=1.0, history=0.0))
-
-    def test_divergence_guard(self):
-        # u' = i u + 2 u^2 ubar: |u|' = |u|^3, finite-time escape from 0.5
-        red = ReducedEquation(1j, {(2, 1): 4.0})
-        with pytest.raises(DivergenceError):
-            integrate_reduced(red, 0.5, SimConfig(dt=0.01, horizon=20.0, history=0.0))
-
-
 class TestValidation:
     def test_sim_config(self):
         with pytest.raises(ValueError):
@@ -373,33 +344,27 @@ class TestManifoldDynamics:
         freq = measure_frequency(traj, t_min=10 * r)
         assert abs(freq - 1.0) <= 0.02
 
-    def test_envelope_matches_reduced_flow(self, bench_model_c1, bench_lin, bench_eig):
-        r = bench_lin.r
-        so = second_order(bench_model_c1, bench_eig)
-        third = third_order(bench_model_c1, bench_eig, so)
-        u_init = 0.01
-        history = manifold_history(u_init, so, bench_eig, third)
-        from ddecm.spectral import project_coordinates
+    def test_amplitude_law_supercritical(self):
+        """l1 < 0: the stable cycle at B -> (1 + eps) B has amplitude
+        2 sqrt(-Re lambda'(0) eps / l1); the measured-to-predicted ratio,
+        extrapolated to eps = 0, is 1. Every point is k = 0 with B < 0, where
+        the rest of the spectrum is stable; the last has omega = 10 and the
+        cubic coefficients scaled by 10. Acceptance criterion 7 checks
+        (omega, theta) = (1, 2)."""
+        scaled = {key: c * 10.0 if sum(key) == 3 else c for key, c in SUPERCRITICAL_C.items()}
+        points = [(1.0, theta, SUPERCRITICAL_C) for theta in (1.5, 2.5, 2.8)] + [(10.0, 2.0, scaled)]
+        for omega, theta, C in points:
+            ratio = amplitude_ratio_limit(hopf_curve_model(omega, theta, 0, C))
+            assert abs(ratio - 1.0) <= 1e-2, (omega, theta, ratio)
 
-        u0, _ = project_coordinates(history, bench_eig, bench_lin)
-        assert abs(u0 - u_init) <= 1e-4  # manifold part projects to ~nothing
-
-        n = 40
-        cfg = SimConfig(dt=r / n, horizon=20 * r, history=history)
-        full = integrate_dde(bench_model_c1, cfg)
-        red = assemble_reduced(bench_model_c1, bench_eig, so, third)
-        dt = full.times[1] - full.times[0]
-        reduced = integrate_reduced(red, u0, SimConfig(dt=dt, horizon=full.times[-1], history=0.0))
-        recon = np.array([reconstruct_state(u, so, third) for u in reduced.values])
-
-        period = 2 * math.pi / bench_eig.omega
-        win = int(round(period / dt))
-        n_win = len(full.values) // win
-        for k in range(n_win):
-            sl = slice(k * win, (k + 1) * win)
-            env_full = np.max(np.abs(full.values[sl]))
-            env_recon = np.max(np.abs(recon[sl]))
-            assert abs(env_full - env_recon) <= 0.10 * env_full
+    def test_amplitude_law_subcritical(self):
+        """l1 > 0, eps < 0: the cycle of amplitude 2 sqrt(-Re lambda'(0) eps / l1)
+        is unstable; a history inside it decays to 0 and one outside diverges."""
+        model = hopf_curve_model(1.0, 2.0, 0, {(2, 0): 1.0, (0, 2): 0.4, (2, 1): -0.8, (0, 3): 0.3})
+        inside, amp = hopf_amplitude_run(model, -0.01, 0.7)
+        assert half_peak_to_peak(inside) <= 1e-6 * amp
+        with pytest.raises(DivergenceError):
+            hopf_amplitude_run(model, -0.01, 1.3)
 
     def test_quadratic_manifold_invariance(self, bench_model_c1, bench_lin, bench_eig):
         """Off-critical-plane residual drops to third order once the quadratic

@@ -1,4 +1,4 @@
-"""Bilinear pairing, eigendata normalization, and projection coordinates."""
+"""Bilinear pairing and eigendata normalization."""
 
 import cmath
 import math
@@ -7,11 +7,11 @@ import random
 import pytest
 
 from ddecm.chareq import HopfPoint, find_critical_frequency, verify_hopf
-from ddecm.errors import DomainMismatchError, InconsistencyError
+from ddecm.errors import DegenerateSystemError, DomainMismatchError, InconsistencyError
 from ddecm.exppoly import ExpPoly
-from ddecm.spectral import bilinear, build_eigendata, project_coordinates
+from ddecm.spectral import bilinear, build_eigendata
 
-from conftest import HOPF_FAMILY, bilinear_quad, random_hopf_model
+from conftest import HOPF_FAMILY, bilinear_quad, hopf_curve_model, random_hopf_model
 
 
 class TestBilinear:
@@ -64,6 +64,25 @@ class TestBilinear:
             bilinear(bad.shift_argument(bench_lin.r), bench_eig.phi1, bench_lin)
 
 
+    def test_eigenfunction_coordinates(self, bench_lin, bench_eig):
+        # the coordinates (<Psi1, phi>, <Psi2, phi>) of phi on the critical plane
+        for j, phi in ((1, bench_eig.phi1), (2, bench_eig.phi2)):
+            for i, Psi in ((1, bench_eig.Psi1), (2, bench_eig.Psi2)):
+                assert abs(bilinear(Psi, phi, bench_lin) - (1.0 if i == j else 0.0)) <= 1e-13
+
+    def test_zero_function(self, bench_lin, bench_eig):
+        zero = ExpPoly.zero((-bench_lin.r, 0.0))
+        assert bilinear(bench_eig.Psi1, zero, bench_lin) == 0
+        assert bilinear(bench_eig.Psi2, zero, bench_lin) == 0
+
+    def test_conjugate_symmetric_input(self, bench_lin, bench_eig):
+        r = bench_lin.r
+        phi = ExpPoly.monomial(0.3, 1.7j, 0, (-r, 0.0))
+        phi = phi + phi.conjugate()  # real-valued function
+        u, ub = bilinear(bench_eig.Psi1, phi, bench_lin), bilinear(bench_eig.Psi2, phi, bench_lin)
+        assert abs(ub - u.conjugate()) <= 1e-13
+
+
 class TestBuildEigendata:
     def test_normalization_constant(self, bench_eig):
         want = (1.0 - 1j * math.pi / 2) / (1.0 + math.pi**2 / 4)
@@ -87,6 +106,12 @@ class TestBuildEigendata:
         assert eig.e11 == e11
         assert eig.e22 == bilinear(eig.psi2, eig.phi2, lin)
         assert eig.Psi1_at_0 == eig.psi1.scale(1.0 / e11).eval(0.0)
+
+    def test_degenerate_pairing(self):
+        # at theta = w r = 1e-7, e11 = 1 - (A - i w) r = 1 - theta cot theta + i theta ~ 1e-7
+        lin = hopf_curve_model(1.0, 1e-7, 0, {}).lin
+        with pytest.raises(DegenerateSystemError, match="pairing matrix is degenerate"):
+            build_eigendata(lin, find_critical_frequency(lin))
 
     def test_frequency_off_the_root_inconsistent(self, bench_lin):
         # at w = 1.1 the pairing 1 + B r e^{-i w r} misses 1 - (A - i w) r
@@ -127,22 +152,3 @@ class TestDescendIdentities:
             psib = eig.Psi1_at_0.conjugate()
             lhs = psib + lin.B * psib * (cmath.exp(1j * w * r) - cmath.exp(-1j * w * r)) / (2j * w)
             assert abs(lhs) <= 1e-12
-
-
-class TestProjection:
-    def test_eigenfunction_coordinates(self, bench_lin, bench_eig):
-        u, ub = project_coordinates(bench_eig.phi1, bench_eig, bench_lin)
-        assert abs(u - 1.0) <= 1e-13 and abs(ub) <= 1e-13
-        u, ub = project_coordinates(bench_eig.phi2, bench_eig, bench_lin)
-        assert abs(u) <= 1e-13 and abs(ub - 1.0) <= 1e-13
-
-    def test_zero_function(self, bench_lin, bench_eig):
-        u, ub = project_coordinates(ExpPoly.zero((-bench_lin.r, 0.0)), bench_eig, bench_lin)
-        assert u == 0 and ub == 0
-
-    def test_conjugate_symmetric_input(self, bench_lin, bench_eig):
-        r = bench_lin.r
-        phi = ExpPoly.monomial(0.3, 1.7j, 0, (-r, 0.0))
-        phi = phi + phi.conjugate()  # real-valued function
-        u, ub = project_coordinates(phi, bench_eig, bench_lin)
-        assert abs(ub - u.conjugate()) <= 1e-13
