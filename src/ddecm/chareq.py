@@ -77,21 +77,19 @@ def find_critical_frequency(
     """Locate omega > 0 with F(i*omega) = 0 for a linear part assumed at a Hopf point.
 
     |i omega - A| = |B| at a root, so the only candidate is the closed form
-    omega0 = sqrt(B^2 - A^2); |B| <= |A| leaves none and raises
-    NotHopfPointError. Newton on Im F(i*omega) = omega + B sin(omega r),
+    omega0 = sqrt(B^2 - A^2); |B| < |A| leaves none and raises
+    NotHopfPointError, whatever the hint and ``tol``. So does |B| = |A|
+    without a hint. Newton on Im F(i*omega) = omega + B sin(omega r),
     started at ``omega_hint`` when given and else at omega0, polishes it to
     the last digits, and :func:`verify_hopf` checks the full residual to ``tol``.
     """
     r, B = lin.r, lin.B
-    if omega_hint is not None:
-        w = float(omega_hint)
-    elif abs(B) > abs(lin.A):
-        w = math.sqrt((B - lin.A) * (B + lin.A))
-    else:
+    if abs(B) < abs(lin.A) or (omega_hint is None and abs(B) == abs(lin.A)):
         raise NotHopfPointError(
             f"|B| = {abs(B):g} <= |A| = {abs(lin.A):g}: no pure-imaginary eigenvalue pair; "
             "the model is not at a Hopf point"
         )
+    w = math.sqrt((B - lin.A) * (B + lin.A)) if omega_hint is None else float(omega_hint)
     ok = False
     for _ in range(80):
         g = w + B * math.sin(w * r)

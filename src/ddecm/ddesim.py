@@ -1,5 +1,6 @@
 """Dynamics-level validation of the full delay equation, the only one simulated:
-method-of-steps integration and a zero-crossing frequency estimator.
+method-of-steps integration from a constant history and a zero-crossing
+frequency estimator.
 
 The equation is stepped on a grid of which the delay is an exact multiple, so
 delayed values are read at grid nodes and at interval midpoints (Bellen &
@@ -17,7 +18,6 @@ import numpy as np
 
 from .cmcore import ModelSpec
 from .errors import DivergenceError, TooFewCrossingsError
-from .exppoly import ExpPoly
 
 _BLOWUP = 1e6
 _HISTORY_WARN = 0.5
@@ -27,15 +27,12 @@ MAX_SIM_STEPS = 10**6
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The settings of one run: the step, the horizon and the constant value
+    of x on [-r, 0]. ``integrate_dde`` checks them."""
+
     dt: float
     horizon: float
-    history: ExpPoly | float
-
-    def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive")
+    history: float
 
 
 @dataclass(frozen=True)
@@ -48,27 +45,6 @@ class Trajectory:
             raise ValueError("times and values must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-
-def _history_fn(cfg: SimConfig, r: float):
-    h = cfg.history
-    if isinstance(h, ExpPoly):
-        def fn(s: float) -> float:
-            v = h.eval(s)
-            return v.real
-        probe = max(abs(h.eval(-r + k * r / 16).real) for k in range(17))
-    else:
-        val = float(h)
-        def fn(s: float) -> float:
-            return val
-        probe = abs(val)
-    if probe > _HISTORY_WARN:
-        warnings.warn(
-            f"history amplitude {probe:.3g} exceeds {_HISTORY_WARN}; the cubic "
-            "truncation of the nonlinearity may not be meaningful",
-            stacklevel=3,
-        )
-    return fn
 
 
 def _rhs_table(model: ModelSpec) -> list[list[float]]:
@@ -90,15 +66,18 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     an interval midpoint of a completed interval: with j = i - n_hist, step i
     reads x[j] at its start, the cubic Hermite at theta = 1/2,
     (x[j] + x[j+1]) / 2 + dt/8 (m[j] - m[j+1]), at its midpoint, and x[j+1]
-    at its end (m is the slope at each node). For j < 0 the lookups come
-    from the analytic history, exact at every stage point.
+    at its end (m is the slope at each node). For j < 0 every lookup is the
+    constant history.
 
     The right-hand side is a cubic in x whose four coefficients are cubics
     in the delayed value; they are evaluated once per distinct delayed
     value, twice a step, since the end of one step is the start of the next.
     """
-    lin = model.lin
-    r = lin.r
+    r = model.lin.r
+    if not (cfg.dt > 0 and math.isfinite(cfg.dt)):
+        raise ValueError("dt must be positive")
+    if not (cfg.horizon > 0 and math.isfinite(cfg.horizon)):
+        raise ValueError("horizon must be positive")
     if cfg.horizon / cfg.dt > MAX_SIM_STEPS:  # inf too: r / dt is finite past this check
         raise ValueError(f"horizon / dt = {cfg.horizon / cfg.dt:.3g} steps exceeds {MAX_SIM_STEPS}")
     if cfg.dt > r / 20:
@@ -111,7 +90,13 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     if n > MAX_SIM_STEPS:  # the snapped step is up to 5 % shorter than cfg.dt
         raise ValueError(f"horizon / (r / {n_hist}) = {n} steps exceeds {MAX_SIM_STEPS}")
 
-    hist = _history_fn(cfg, r)
+    h = cfg.history
+    if abs(h) > _HISTORY_WARN:
+        warnings.warn(
+            f"history amplitude {abs(h):.3g} exceeds {_HISTORY_WARN}; the cubic "
+            "truncation of the nonlinearity may not be meaningful",
+            stacklevel=2,
+        )
     a = _rhs_table(model)
     a01, a02, a03 = a[0][1:]
     a10, a11, a12 = a[1][:3]
@@ -123,10 +108,10 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
         return ((a03 * xd + a02) * xd + a01) * xd, (a12 * xd + a11) * xd + a10, a21 * xd + a20
 
     half, eighth, sixth = 0.5 * dt, 0.125 * dt, dt / 6.0
-    x = hist(0.0)
+    x = h
     xs = [x]
     ms = []
-    c0, c1, c2 = coeffs(hist(-r))
+    c0, c1, c2 = coeffs(h)
     for i in range(n):
         if not abs(x) <= _BLOWUP:  # also catches nan (0 * inf in an overflowing stage)
             raise DivergenceError(f"|x| exceeded {_BLOWUP:g} at t = {i * dt:.6g}", time=i * dt)
@@ -135,8 +120,7 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
             xd_mid = 0.5 * (xs[j] + xs[j + 1]) + eighth * (ms[j] - ms[j + 1])
             xd_end = xs[j + 1]
         else:
-            xd_mid = hist((j + 0.5) * dt)
-            xd_end = hist((j + 1) * dt)
+            xd_mid = xd_end = h
         k1 = ((c3 * x + c2) * x + c1) * x + c0
         ms.append(k1)
         c0, c1, c2 = coeffs(xd_mid)
@@ -179,20 +163,3 @@ def measure_frequency(traj: Trajectory, t_min: float) -> float:
     spacing = (crossings[-1] - crossings[0]) / (len(crossings) - 1)
     return math.pi / float(spacing)
 
-
-def manifold_history(
-    u0: complex,
-    so,
-    eig,
-    third=None,
-) -> ExpPoly:
-    """History lying (to cubic order) on the computed manifold at coordinate u0.
-
-    2 Re(u0 phi1) + sum over stored w profiles of w_jk u0^j conj(u0)^k / (j! k!).
-    """
-    ub = u0.conjugate()
-    out = eig.phi1.scale(u0) + eig.phi2.scale(ub)
-    out = out + so.w20.scale(u0 * u0 / 2) + so.w11.scale(u0 * ub) + so.w02.scale(ub * ub / 2)
-    if third is not None:
-        out = out + third.w21.scale(u0 * u0 * ub / 2) + third.w21.conjugate().scale(u0 * ub * ub / 2)
-    return out

@@ -4,6 +4,11 @@ Both documents are JSON. Complex numbers are encoded as two-element arrays
 [re, im]; Taylor keys as "j,k" strings. Reports are schema-versioned and
 serialize deterministically (sorted keys, repr-precision floats, no
 timestamps), so identical inputs produce byte-identical files.
+
+The sim block resolves into the ``ddesim.SimConfig`` that `simulate` runs,
+with every absent key at its default. Its values are range-checked only by
+``ddesim.integrate_dde``, so the other subcommands accept a file whose sim
+block no run could use.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Any, Mapping
 
 from .chareq import LinearPart
 from .cmcore import ModelSpec
+from .ddesim import SimConfig
 from .errors import ModelFileError
 from .exppoly import ExpPoly
 from .perturb import ExtrapolationResult, check_eps_grid
@@ -37,21 +43,11 @@ class SweepBlock:
 
 
 @dataclass(frozen=True)
-class SimBlock:
-    """The `simulate` settings, each from the sim block or else its default:
-    dt = r / 40, horizon = 50 r and a constant history ``DEFAULT_SIM_HISTORY``."""
-
-    dt: float
-    horizon: float
-    history: float
-
-
-@dataclass(frozen=True)
 class ModelFile:
     model: ModelSpec
     sweep: SweepBlock | None
     eps_grid: tuple[float, ...] | None
-    sim: SimBlock
+    sim: SimConfig  # from the sim block, else dt = r / 40, horizon = 50 r, DEFAULT_SIM_HISTORY
 
 
 def _reject_unknown(doc: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -142,7 +138,7 @@ def parse_model_document(doc: Any) -> ModelFile:
     if not isinstance(blk, dict):
         raise ModelFileError("'sim' must be an object")
     _reject_unknown(blk, _SIM_KEYS, "sim block")
-    sim = SimBlock(
+    sim = SimConfig(
         dt=_number(blk, "dt", "sim block") if "dt" in blk else r / 40.0,
         horizon=_number(blk, "horizon", "sim block") if "horizon" in blk else 50.0 * r,
         history=_number(blk, "history", "sim block") if "history" in blk else DEFAULT_SIM_HISTORY,

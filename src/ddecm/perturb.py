@@ -31,7 +31,7 @@ from .cmcore import (
 from .errors import InconsistentFamilyError, NoConvergenceWarning
 from .spectral import EigenData
 
-_CHAR_TOL = 1e-12
+_CHAR_TOL = 1e-12  # relative to the terms' scale |lam| + |A_eps| + |B_eps|
 _H_FORM_SWITCH = 1e-8  # below this |Delta_eps| the direct solve loses digits
 
 
@@ -70,7 +70,7 @@ def perturbed_stage(model: ModelSpec, omega: float, eps: float) -> CubicStage:
     A_eps = mu - B_eps * math.exp(-mu * r) * c
     lam = complex(mu, omega)
     residual = abs(lam - A_eps - B_eps * cmath.exp(-lam * r))
-    if residual > _CHAR_TOL:
+    if residual > _CHAR_TOL * (abs(lam) + abs(A_eps) + abs(B_eps)):
         raise InconsistentFamilyError(
             f"perturbed eigenvalue misses its characteristic equation by {residual:.3e}"
         )

@@ -352,6 +352,24 @@ def hopf_family_sample(seed: int) -> list[ModelSpec]:
 HOPF_FAMILY = hopf_family_sample(7)
 
 
+def manifold_history(
+    u0: complex,
+    so,
+    eig,
+    third=None,
+) -> ExpPoly:
+    """History lying (to cubic order) on the computed manifold at coordinate u0.
+
+    2 Re(u0 phi1) + sum over stored w profiles of w_jk u0^j conj(u0)^k / (j! k!).
+    """
+    ub = u0.conjugate()
+    out = eig.phi1.scale(u0) + eig.phi2.scale(ub)
+    out = out + so.w20.scale(u0 * u0 / 2) + so.w11.scale(u0 * ub) + so.w02.scale(ub * ub / 2)
+    if third is not None:
+        out = out + third.w21.scale(u0 * u0 * ub / 2) + third.w21.conjugate().scale(u0 * ub * ub / 2)
+    return out
+
+
 # --- the ExpPoly route: the algebra the cubic stage's scalar closed forms replaced
 
 

@@ -21,10 +21,15 @@ other. Run with -s to see each line.
 """
 
 import cmath
+import json
 import math
+import os
 import time
 
+import pytest
+
 from ddecm.chareq import LinearPart, verify_hopf
+from ddecm.cli import main
 from ddecm.cmcore import (
     ModelSpec,
     degeneracy_report,
@@ -279,3 +284,34 @@ class TestAcceptance:
             assert abs(wmr - wantmr) <= 1e-9
             oracle = extrapolate_w21(model, bench_eig)
             assert abs(oracle.extrapolated - want0) <= 1e-6
+
+
+WRIGHT_MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models", "wright.json")
+
+
+class TestLiteratureAnchors:
+    """Wright's equation x' = -alpha x(t-1) (1 + x(t)) is the bundled
+    ``models/wright.json`` (A = 0, B = C11 = -alpha, r = 1) at its Hopf point
+    alpha = pi/2. Hutchinson's delayed logistic N' = rho N (1 - N(t-tau)/K) is
+    the same equation in x = N/K - 1, with B = C11 = -rho and r = tau, at
+    rho tau = pi/2. Its cycle has the leading amplitude
+    sqrt(40 (alpha - pi/2) / (3 pi - 2)) (Chow & Mallet-Paret 1977; Hassard,
+    Kazarinoff & Wan 1981). B -> (1 + eps) B is alpha - pi/2 = (pi/2) eps, so the
+    Hopf amplitude law 2 sqrt(-Re lambda'(0) eps / l1) must equal
+    sqrt(20 pi eps / (3 pi - 2)) at every tau."""
+
+    @pytest.mark.parametrize("tau", [0.1, 1.0, 2.0, 37.0])
+    def test_wright_hutchinson_amplitude(self, tmp_path, tau):
+        # Hutchinson's equation at tau is Wright's in the time unit tau
+        doc = json.loads(open(WRIGHT_MODEL).read())
+        doc.update(B=doc["B"] / tau, C={"1,1": doc["C"]["1,1"] / tau}, r=doc["r"] * tau)
+        path, out = tmp_path / "hutchinson.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--model", str(path), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        psi0 = complex(*rep["eigen"]["Psi1_at_0"])
+        rate = ((1j * rep["hopf"]["omega"] - rep["model"]["A"]) * psi0).real
+        amplitude = 2.0 * math.sqrt(-rate / rep["l1"])
+        want = math.sqrt(20.0 * math.pi / (3.0 * math.pi - 2.0))
+        print(f"LITERATURE Wright/Hutchinson tau={tau:g}: {amplitude!r} vs {want!r}")
+        assert abs(amplitude - want) <= 1e-13 * want

@@ -96,6 +96,12 @@ class TestFindCriticalFrequency:
         with pytest.raises(NotHopfPointError, match="no pure-imaginary eigenvalue pair"):
             find_critical_frequency(LinearPart(A, B, 1.0))
 
+    @pytest.mark.parametrize("A,B", [(-1.2, -1.0), (2.0, 0.0), (0.5, 0.0)])
+    def test_no_pair_when_B_below_A_whatever_the_hint(self, A, B):
+        # a hint and a loose tolerance do not make |B| < |A| a Hopf point
+        with pytest.raises(NotHopfPointError, match="no pure-imaginary eigenvalue pair"):
+            find_critical_frequency(LinearPart(A, B, 1.0), omega_hint=0.5, tol=10.0)
+
 
 class TestCountRoots:
     def test_critical_pair(self, bench_lin):

@@ -15,7 +15,7 @@ from ddecm.cli import main
 from ddecm.cmcore import second_order
 from ddecm.ddesim import MAX_SIM_STEPS, SimConfig, integrate_dde
 from ddecm.errors import ModelFileError
-from ddecm.modelio import DEFAULT_SIM_HISTORY, SimBlock, dump_json, load_model_file, parse_model_document
+from ddecm.modelio import DEFAULT_SIM_HISTORY, dump_json, load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
 from conftest import C1, C2, R2_R, hopf_curve_model, report_drift
@@ -48,9 +48,9 @@ class TestModelFile:
         assert mf.model.omega_hint == 1.0
 
     @pytest.mark.parametrize("sim,want", [
-        (None, SimBlock(R2_R / 40.0, 50.0 * R2_R, DEFAULT_SIM_HISTORY)),
-        ({"horizon": 30.0}, SimBlock(R2_R / 40.0, 30.0, DEFAULT_SIM_HISTORY)),
-        ({"dt": 0.05, "history": 0.002}, SimBlock(0.05, 50.0 * R2_R, 0.002)),
+        (None, SimConfig(R2_R / 40.0, 50.0 * R2_R, DEFAULT_SIM_HISTORY)),
+        ({"horizon": 30.0}, SimConfig(R2_R / 40.0, 30.0, DEFAULT_SIM_HISTORY)),
+        ({"dt": 0.05, "history": 0.002}, SimConfig(0.05, 50.0 * R2_R, 0.002)),
     ])
     def test_sim_defaults_resolved(self, tmp_path, sim, want):
         model = write_model(tmp_path) if sim is None else write_model(tmp_path, sim=sim)
@@ -435,6 +435,8 @@ class TestSimulate:
         model = write_model(tmp_path, sim={field: value})
         assert main(["simulate", "--model", model, "--out", str(tmp_path / "traj.csv")]) == 1
         assert f"error[ValueError]: {field} must be positive" in capsys.readouterr().err
+        # only simulate runs the sim block: the other subcommands take the file
+        assert main(["roots", "--model", model, "--out", str(tmp_path / "roots.json")]) == 0
 
     def test_linear_period(self, tmp_path):
         model = write_model(tmp_path, C={}, sim={"history": 0.01})
@@ -518,6 +520,17 @@ class TestRoots:
             "real part (expected 2, the critical pair alone)\n"
         )
         assert "cli.py" not in captured.err
+
+
+    @pytest.mark.parametrize("argv", [["roots"], ["analyze", "--no-oracle"]])
+    def test_b_below_a_is_no_hopf_point_whatever_the_hint(self, tmp_path, capsys, argv):
+        # |B| < |A| leaves no root on the axis; Newton from the hint once drifted
+        # toward omega -> 0, and a loose --tol let roots accept omega = 1.01e-07
+        model = write_model(tmp_path, A=-1.2, B=-1.0, r=1.0, C={"2,0": 1.0}, omega_hint=0.5)
+        out = tmp_path / "out.json"
+        assert main([argv[0], "--model", model, "--out", str(out), *argv[1:], "--tol", "10"]) == 2
+        assert "error[NotHopfPointError]: |B| = 1 <= |A| = 1.2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -9,15 +9,7 @@ import pytest
 
 from ddecm.chareq import LinearPart
 from ddecm.cmcore import ModelSpec, second_order, third_order
-from ddecm.ddesim import (
-    _BLOWUP,
-    SimConfig,
-    Trajectory,
-    _history_fn,
-    integrate_dde,
-    manifold_history,
-    measure_frequency,
-)
+from ddecm.ddesim import _BLOWUP, SimConfig, Trajectory, integrate_dde, measure_frequency
 from ddecm.errors import DivergenceError, TooFewCrossingsError
 
 from conftest import (
@@ -26,24 +18,27 @@ from conftest import (
     half_peak_to_peak,
     hopf_amplitude_run,
     hopf_curve_model,
+    manifold_history,
 )
 
 C_KEYS = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
 
-def reference_integrate_dde(model, cfg):
+def reference_integrate_dde(model, dt, horizon, history):
     """General-lookup method of steps: the delayed value at any float position,
     by the cubic Hermite at any theta, and the right-hand side term by term.
 
     The same RK4 scheme and grid as ``integrate_dde``, written without using
     that every delayed stage point is a node or an interval midpoint.
+    ``history`` is x on [-r, 0]: a number, as in ``SimConfig``, or a callable
+    of s, such as a manifold start.
     """
     lin = model.lin
     r = lin.r
-    n_hist = max(20, int(math.ceil(r / cfg.dt)))
+    n_hist = max(20, int(math.ceil(r / dt)))
     dt = r / n_hist
-    n = int(math.ceil(cfg.horizon / dt))
-    hist = _history_fn(cfg, r)
+    n = int(math.ceil(horizon / dt))
+    hist = history if callable(history) else lambda s: float(history)
 
     def rhs(x, xd):
         out = lin.A * x + lin.B * xd
@@ -123,7 +118,7 @@ def random_hopf_models(seed, count):
 
 def assert_matches_reference(model, cfg):
     traj = integrate_dde(model, cfg)
-    ref = reference_integrate_dde(model, cfg)
+    ref = reference_integrate_dde(model, cfg.dt, cfg.horizon, cfg.history)
     np.testing.assert_array_equal(traj.times, ref.times)
     scale = np.max(np.abs(ref.values))
     assert np.max(np.abs(traj.values - ref.values)) <= 1e-12 * scale
@@ -230,19 +225,9 @@ class TestReferenceIntegrator:
         r = model.lin.r
         assert_matches_reference(model, SimConfig(dt=r / 40, horizon=50 * r, history=1e-4))
 
-    def test_manifold_history(self, bench_model_c1, bench_lin, bench_eig):
-        so = second_order(bench_model_c1, bench_eig)
-        third = third_order(bench_model_c1, bench_eig, so)
-        history = manifold_history(0.01, so, bench_eig, third)
+    def test_step_not_dividing_delay(self, bench_model_c1, bench_lin):
         r = bench_lin.r
-        traj = assert_matches_reference(bench_model_c1, SimConfig(dt=r / 40, horizon=20 * r, history=history))
-        assert np.max(np.abs(traj.values)) > 0.01
-
-    def test_step_not_dividing_delay(self, bench_model_c1, bench_lin, bench_eig):
-        so = second_order(bench_model_c1, bench_eig)
-        history = manifold_history(0.01, so, bench_eig)
-        r = bench_lin.r
-        cfg = SimConfig(dt=r / 37.3, horizon=20 * r, history=history)
+        cfg = SimConfig(dt=r / 37.3, horizon=20 * r, history=0.01)
         traj = assert_matches_reference(bench_model_c1, cfg)
         dt = r / 38  # the step snapped so that the delay is 38 steps
         n = int(math.ceil(cfg.horizon / dt))
@@ -250,11 +235,12 @@ class TestReferenceIntegrator:
 
 
 class TestValidation:
-    def test_sim_config(self):
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.0, horizon=1.0, history=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.1, horizon=-1.0, history=0.0)
+    def test_sim_config(self, bench_model_c1):
+        # SimConfig only holds the settings; integrate_dde range-checks them first
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_dde(bench_model_c1, SimConfig(dt=0.0, horizon=1.0, history=0.0))
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            integrate_dde(bench_model_c1, SimConfig(dt=0.1, horizon=-1.0, history=0.0))
 
     def test_trajectory_shapes(self):
         with pytest.raises(ValueError):
@@ -368,14 +354,15 @@ class TestManifoldDynamics:
 
     def test_quadratic_manifold_invariance(self, bench_model_c1, bench_lin, bench_eig):
         """Off-critical-plane residual drops to third order once the quadratic
-        terms are subtracted: the residual scales like amplitude cubed."""
+        terms are subtracted: the residual scales like amplitude cubed. A
+        manifold start is not constant, so the reference integrator runs it."""
         r = bench_lin.r
         so = second_order(bench_model_c1, bench_eig)
         n = 40
         resid = []
         for amp in (0.02, 0.01):
             history = manifold_history(amp, so, bench_eig)
-            traj = integrate_dde(bench_model_c1, SimConfig(dt=r / n, horizon=30 * r, history=history))
+            traj = reference_integrate_dde(bench_model_c1, r / n, 30 * r, lambda s: history.eval(s).real)
             start = int(15 * r / (traj.times[1] - traj.times[0]))
             samples = project_series(traj, bench_lin, bench_eig, n, start, 2 * n)
             errs = []
@@ -390,13 +377,14 @@ class TestManifoldDynamics:
 
     def test_dynamic_extraction_of_w21(self, bench_model_c1, bench_lin, bench_eig):
         """Regress the third-order off-plane residual onto {u^2 ubar, u^3}:
-        the first coefficient is w21(0), measured from the flow alone."""
+        the first coefficient is w21(0), measured from the flow alone (on the
+        reference integrator, from a manifold start)."""
         r = bench_lin.r
         so = second_order(bench_model_c1, bench_eig)
         third = third_order(bench_model_c1, bench_eig, so)
         n = 40
         history = manifold_history(0.01, so, bench_eig, third)
-        traj = integrate_dde(bench_model_c1, SimConfig(dt=r / n, horizon=60 * r, history=history))
+        traj = reference_integrate_dde(bench_model_c1, r / n, 60 * r, lambda s: history.eval(s).real)
         dt = traj.times[1] - traj.times[0]
         start = int(25 * r / dt)
         samples = project_series(traj, bench_lin, bench_eig, n, start, n // 4)

@@ -17,9 +17,10 @@ from ddecm.perturb import (
     perturbed_stage,
     w21_estimate,
 )
+from ddecm.reduction import analyze_model
 from ddecm.spectral import bilinear
 
-from conftest import R2_OMEGA, perturbed_eigenfunctions, regularized_kernels
+from conftest import R2_OMEGA, hopf_curve_model, perturbed_eigenfunctions, regularized_kernels
 from test_cmcore import W21_0_C1
 
 
@@ -72,6 +73,21 @@ class TestMakePerturbed:
         lin = LinearPart(0.0, -(1.0 - 5e-9), math.pi / 2)
         with pytest.raises(InconsistentFamilyError, match="mu_eps <= 0"):
             perturbed_stage(ModelSpec(lin, {}), 1.0, 1e-9)
+
+
+    @pytest.mark.parametrize("omega,theta,k", [
+        (1e3, 3.1, 0), (1e3, 3.2, 1), (1e4, 0.5, 0), (1e4, 3.6, 1), (1e4, 5.0, 2),
+    ])
+    def test_characteristic_check_in_the_problem_scale(self, omega, theta, k):
+        # exact Hopf points at large omega, each of which the closed form accepts;
+        # |F(lambda_eps)| rounds to 1.8e-12 .. 4.1e-12 there, which an absolute
+        # bound of 1e-12 refused as an inconsistent family
+        C = {(2, 0): 0.7, (1, 1): -0.4, (0, 2): 0.3, (3, 0): -0.6, (2, 1): 0.5, (1, 2): -0.2, (0, 3): 0.1}
+        model = hopf_curve_model(omega, theta, k, {key: c * omega if sum(key) == 3 else c for key, c in C.items()})
+        closed = analyze_model(model, eps_grid=None)
+        rep = analyze_model(model, eps_grid=DEFAULT_EPS_GRID)
+        assert rep.third.w21_0 == closed.third.w21_0
+        assert rep.oracle.gap_to_closed_form <= 1e-9 * abs(rep.third.w21_0)
 
 
 class TestPerturbedSpectral:

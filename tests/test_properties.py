@@ -8,6 +8,10 @@ w once C3 is scaled with it.
 The paper's theorem: at a Hopf point the two rows of the w21 boundary system
 are dependent, B R1 = R2, through four identities (see
 ``cmcore.CubicStage.degeneracy``).
+
+Biorthogonality: the adjoint eigenfunctions Psi1, Psi2 are dual to phi1,
+phi2 under the bilinear form, here paired by the ExpPoly route of
+``spectral.bilinear`` rather than by ``build_eigendata``'s scalar check.
 """
 
 import cmath
@@ -18,8 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddecm import cli
+from ddecm.chareq import find_critical_frequency
 from ddecm.modelio import dump_json
 from ddecm.reduction import analyze_model
+from ddecm.spectral import bilinear, build_eigendata
 
 from conftest import HOPF_FAMILY, hopf_curve_model
 
@@ -59,6 +65,16 @@ def test_rows_dependent(theta, k, omega, C):
         (stage.i20, stage.i11, stage.i02), (so.w20_0, so.w11_0, so.w02_0),
     ):
         assert res <= 1e-10 * abs(c) * (abs(B * enur * i) + abs(w0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(theta=thetas, k=crossings, omega=omegas)
+def test_biorthogonality(theta, k, omega):
+    lin = hopf_curve_model(omega, theta, k, {}).lin
+    eig = build_eigendata(lin, find_critical_frequency(lin, omega))
+    for i, Psi in ((1, eig.Psi1), (2, eig.Psi2)):
+        for j, phi in ((1, eig.phi1), (2, eig.phi2)):
+            assert abs(bilinear(Psi, phi, lin) - (1.0 if i == j else 0.0)) <= 1e-13
 
 
 # --- the report format: json.dumps(indent=2, sort_keys=True) of the document, byte for byte
