@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .errors import NotHopfPointError, SpectrumAuditWarning
 
 HOPF_TOL = 1e-10          # default acceptance tolerance on |F(i w)|
-SIMPLE_TOL = 1e-8         # simplicity threshold on |F'(i w)|; keeps the
-                          # limit denominator 2(1 + B r e^{-i w r}) well away from 0
+SIMPLE_TOL = 1e-6         # the one simplicity threshold on |F'(i w)| = |e11|: below it
+                          # the root is not simple and the spectral kit refuses to normalize
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ def char_value(lin: LinearPart, lam: complex) -> complex:
 
 
 def char_derivative(lin: LinearPart, lam: complex) -> complex:
-    """F'(lambda) = 1 + B r exp(-lambda r)."""
-    return 1.0 + lin.B * lin.r * cmath.exp(-lam * lin.r)
+    """F'(lambda) = 1 + B r exp(-lambda r); at lambda = i w it is the spectral kit's
+    e11 = <psi1, phi1>, associated as that pairing's B * (e^{-i w r} * r)."""
+    return 1.0 + lin.B * (cmath.exp(-lam * lin.r) * lin.r)
 
 
 def _is_simple(lin: LinearPart, omega: float) -> bool:

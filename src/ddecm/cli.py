@@ -18,7 +18,7 @@ import warnings
 
 from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_frequency
 from .ddesim import integrate_dde, measure_frequency
-from .errors import CenterManifoldError, ModelFileError
+from .errors import CenterManifoldError, ModelFileError, NotHopfPointError
 from .modelio import dump_json, load_model_file, oracle_to_dict, report_to_dict
 from .perturb import DEFAULT_EPS_GRID, check_eps_grid, extrapolate_w21
 from .reduction import analyze_model, sweep_l1_zeros
@@ -137,8 +137,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     mf = load_model_file(args.model)
     hopf = find_critical_frequency(mf.model.lin, mf.model.omega_hint, args.tol)
-    count = audit_spectrum(mf.model.lin, hopf)
     k = crossing_count(mf.model.lin, hopf) - 1
+    if k < 0:  # on the Hopf curve the critical pair itself is crossing k >= 0
+        raise NotHopfPointError(f"no root pair has crossed the imaginary axis: i*{hopf.omega:g} is no root")
+    count = audit_spectrum(mf.model.lin, hopf)
     doc = {"count": count, "crossing": k, "expected": 2, "omega": hopf.omega}
     _write(args.out, dump_json(doc))
     print(f"roots: {count} root(s) with nonnegative real part at crossing {k} (expected 2)")

@@ -1,24 +1,21 @@
 """Critical-eigenspace machinery: the Hale bilinear pairing and the
-eigenfunction matrix normalization.
+eigenfunction normalization.
 
 The one-delay Stieltjes kernel collapses the pairing to its reduced closed
 form psi(0)*phi(0) + B * int_{-r}^0 psi(z + r) phi(z) dz, which is what is
 implemented; no measure object is materialized. The eigenfunctions are
-single exponentials, so the spectral kit pairs them as scalars, one
-:func:`ddecm.exppoly.moment` each; :func:`bilinear` pairs general
-exponential polynomials.
+single exponentials, so e11 = <psi1, phi1> = 1 + B r e^{-i w r} = F'(i w),
+which the kit takes from :func:`ddecm.chareq.char_derivative`;
+:func:`bilinear` pairs general exponential polynomials.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
-from .chareq import HopfPoint, LinearPart
-from .errors import DegenerateSystemError, DomainMismatchError, InconsistencyError
-from .exppoly import ExpMonomial, ExpPoly, moment
-
-_PAIRING_TOL = 1e-12
+from .chareq import SIMPLE_TOL, HopfPoint, LinearPart, char_derivative
+from .errors import DegenerateSystemError, DomainMismatchError
+from .exppoly import ExpPoly
 
 
 @dataclass(frozen=True)
@@ -58,20 +55,14 @@ def bilinear(psi: ExpPoly, phi: ExpPoly, lin: LinearPart) -> complex:
     return boundary + lin.B * integral
 
 
-def _pairing(psi: ExpMonomial, phi: ExpMonomial, lin: LinearPart) -> complex:
-    """:func:`bilinear` of the one-term psi (on [0, r]) and phi (on [-r, 0]),
-    both of degree 0, as one scalar moment with bilinear's arithmetic."""
-    r = lin.r
-    integral = psi.coeff * cmath.exp(psi.rate * r) * phi.coeff * moment(psi.rate + phi.rate, 0, -r, 0.0)
-    return psi.coeff * phi.coeff + lin.B * integral
-
-
 def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
-    """Construct eigenfunctions and their biorthogonal normalization.
+    """Construct the eigenfunctions and their biorthogonal normalization.
 
-    e11 and the pairing matrix <Psi_i, phi_j>, validated as delta_ij before
-    returning, are scalar pairings of the one-term eigenfunctions, equal to
-    :func:`bilinear` bit for bit; e22 is the conjugate of e11.
+    e11 = F'(i w), equal to :func:`bilinear` of psi1 and phi1 bit for bit; e22 is
+    its conjugate and Psi_i = psi_i / e_ii. A root with |e11| <= ``SIMPLE_TOL`` is
+    not simple: DegenerateSystemError. Nothing is re-paired: <Psi1, phi1> = 1 by
+    construction, and <Psi1, phi2> = Psi1(0) Im F(i w) / w is bounded by the residual
+    that :func:`ddecm.chareq.verify_hopf` checked.
     """
     w = hopf.omega
     r = lin.r
@@ -79,29 +70,10 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
     phi2 = phi1.conjugate()
     psi1 = ExpPoly.monomial(1.0, -1j * w, 0, (0.0, r))
     psi2 = psi1.conjugate()
-    p1, p2 = phi1.terms[0], phi2.terms[0]
-
-    e11 = _pairing(psi1.terms[0], p1, lin)
-    e22 = e11.conjugate()  # the pairing of the conjugate pair
-    # closed form 1 - (A - i w) r; drifts from the pairing only by O(r * Hopf residual)
-    e11_closed = 1.0 - (lin.A - 1j * w) * r
-    if abs(e11 - e11_closed) > 1e-12 + 2.0 * r * hopf.residual:
-        raise InconsistencyError(
-            f"pairing e11 = {e11} differs from its closed form {e11_closed}"
-        )
-    if abs(e11 * e22) <= 1e-12:
+    e11 = char_derivative(lin, 1j * w)
+    if abs(e11) <= SIMPLE_TOL:
         raise DegenerateSystemError("pairing matrix is degenerate; cannot normalize")
-
     Psi1 = psi1.scale(1.0 / e11)
-    Psi2 = Psi1.conjugate()
-    for i, Psi in ((1, Psi1), (2, Psi2)):
-        for j, phi in ((1, p1), (2, p2)):
-            expected = 1.0 if i == j else 0.0
-            got = _pairing(Psi.terms[0], phi, lin)
-            if abs(got - expected) > _PAIRING_TOL + 2.0 * r * hopf.residual:
-                raise InconsistencyError(
-                    f"biorthogonality failed: <Psi{i}, phi{j}> = {got}, expected {expected}"
-                )
     return EigenData(
         omega=w,
         phi1=phi1,
@@ -109,8 +81,8 @@ def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
         psi1=psi1,
         psi2=psi2,
         e11=e11,
-        e22=e22,
+        e22=e11.conjugate(),  # the pairing of the conjugate pair
         Psi1=Psi1,
-        Psi2=Psi2,
+        Psi2=Psi1.conjugate(),
         Psi1_at_0=Psi1.eval(0.0),
     )

@@ -18,7 +18,7 @@ from ddecm.errors import ModelFileError
 from ddecm.modelio import DEFAULT_SIM_HISTORY, dump_json, load_model_file, parse_model_document
 from ddecm.reduction import lyapunov_l1
 
-from conftest import C1, C2, R2_R, hopf_curve_model, report_drift
+from conftest import C1, C2, R2_R, SUPERCRITICAL_C, collocation_manifold, hopf_curve_model, report_drift
 from test_cmcore import W21_0_C1
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -247,6 +247,24 @@ class TestAnalyze:
         model = write_model(tmp_path, A=lin.A, B=lin.B, r=lin.r, C={"2,0": 1.0}, omega_hint=None)
         assert main(["analyze", "--model", model, "--out", str(tmp_path / "r.json")]) == 2
         assert "error[DegenerateSystemError]: pairing matrix is degenerate" in capsys.readouterr().err
+
+    def test_large_b_r_point_matches_collocation(self, tmp_path):
+        # |B| r ~ 3.1e4: pairing checks with bounds that do not scale with |B| r
+        # refuse this point on rounding alone ("pairing e11 ... differs from its closed form")
+        C = {**SUPERCRITICAL_C, (2, 1): 0.7, (0, 3): -0.4}
+        lin = hopf_curve_model(1.0, math.pi + 1e-4, 0, C).lin
+        assert abs(lin.B) * lin.r > 3e4
+        model = write_model(tmp_path, A=lin.A, B=lin.B, r=lin.r,
+                            C={f"{j},{k}": v for (j, k), v in C.items()})
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--model", model, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        w21_0 = complex(*doc["third_order"]["w21_0"])
+        for n in (24, 40):
+            ref = collocation_manifold(lin.A, lin.B, lin.r, doc["hopf"]["omega"], C, n=n)
+            assert abs(w21_0 - ref.w21_0) <= 1e-12 * abs(ref.w21_0)
+            assert abs(doc["l1"] - ref.l1) <= 1e-12 * abs(ref.l1)
+        assert doc["oracle"]["gap"] <= 1e-9 * abs(w21_0)
 
     def test_unknown_key_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -520,6 +538,15 @@ class TestRoots:
             "real part (expected 2, the critical pair alone)\n"
         )
         assert "cli.py" not in captured.err
+
+    def test_point_with_no_crossing_is_no_hopf_point(self, tmp_path, capsys):
+        # |B| = |A| with a hint and a loose --tol: the hint passes verification,
+        # but no crossing has happened, so i * omega is no root
+        model = write_model(tmp_path, A=1.0, B=-1.0, r=2.0, C={"2,0": 1.0}, omega_hint=0.9477)
+        out = tmp_path / "roots.json"
+        assert main(["roots", "--model", model, "--out", str(out), "--tol", "10"]) == 2
+        assert "error[NotHopfPointError]" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("argv", [["roots"], ["analyze", "--no-oracle"]])
