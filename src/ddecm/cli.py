@@ -16,7 +16,7 @@ import functools
 import sys
 import warnings
 
-from .chareq import HOPF_TOL, audit_spectrum, crossing_count, find_critical_frequency
+from .chareq import HOPF_TOL, audit_spectrum, find_critical_frequency
 from .ddesim import integrate_dde, measure_frequency
 from .errors import CenterManifoldError, ModelFileError, NotHopfPointError
 from .modelio import dump_json, load_model_file, oracle_to_dict, report_to_dict
@@ -137,7 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_roots(args: argparse.Namespace) -> int:
     mf = load_model_file(args.model)
     hopf = find_critical_frequency(mf.model.lin, mf.model.omega_hint, args.tol)
-    k = crossing_count(mf.model.lin, hopf) - 1
+    k = hopf.crossings - 1
     if k < 0:  # on the Hopf curve the critical pair itself is crossing k >= 0
         raise NotHopfPointError(f"no root pair has crossed the imaginary axis: i*{hopf.omega:g} is no root")
     count = audit_spectrum(mf.model.lin, hopf)

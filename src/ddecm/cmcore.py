@@ -58,6 +58,8 @@ class ModelSpec:
             if v != 0.0:
                 clean[(j, k)] = v
         object.__setattr__(self, "C", clean)
+        if self.omega_hint is not None and not math.isfinite(self.omega_hint):
+            raise ValueError(f"omega_hint must be finite, got {self.omega_hint!r}")
 
     def c(self, j: int, k: int) -> float:
         return self.C.get((j, k), 0.0)

@@ -1,19 +1,21 @@
 """Critical-eigenspace machinery: the Hale bilinear pairing and the
-eigenfunction normalization.
+normalized adjoint eigenfunction.
 
 The one-delay Stieltjes kernel collapses the pairing to its reduced closed
 form psi(0)*phi(0) + B * int_{-r}^0 psi(z + r) phi(z) dz, which is what is
 implemented; no measure object is materialized. The eigenfunctions are
-single exponentials, so e11 = <psi1, phi1> = 1 + B r e^{-i w r} = F'(i w),
-which the kit takes from :func:`ddecm.chareq.char_derivative`;
-:func:`bilinear` pairs general exponential polynomials.
+single exponentials, phi1 = e^{i w s} and psi1 = e^{-i w z}, so
+e11 = <psi1, phi1> = 1 + B r e^{-i w r} = F'(i w), the slope that
+:func:`ddecm.chareq.verify_hopf` evaluates with the Hopf point; the kit keeps
+only Psi1 = psi1 / e11, and :func:`bilinear` pairs general exponential
+polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chareq import SIMPLE_TOL, HopfPoint, LinearPart, char_derivative
+from .chareq import HopfPoint, LinearPart
 from .errors import DegenerateSystemError, DomainMismatchError
 from .exppoly import ExpPoly
 
@@ -22,20 +24,15 @@ from .exppoly import ExpPoly
 class EigenData:
     """Spectral kit at a Hopf point.
 
-    phi1, phi2 live on [-r, 0]; psi1, psi2 and the normalized Psi1, Psi2 on
-    [0, r]; e11, e22 are the diagonal pairing-matrix entries and Psi1_at_0 the
-    normalization constant entering every g coefficient.
+    e11, e22 are the diagonal pairing-matrix entries, Psi1 = psi1 / e11 the
+    normalized adjoint eigenfunction on [0, r] and Psi1_at_0 its value at 0,
+    the normalization constant entering every g coefficient.
     """
 
     omega: float
-    phi1: ExpPoly
-    phi2: ExpPoly
-    psi1: ExpPoly
-    psi2: ExpPoly
     e11: complex
     e22: complex
     Psi1: ExpPoly
-    Psi2: ExpPoly
     Psi1_at_0: complex
 
 
@@ -56,33 +53,23 @@ def bilinear(psi: ExpPoly, phi: ExpPoly, lin: LinearPart) -> complex:
 
 
 def build_eigendata(lin: LinearPart, hopf: HopfPoint) -> EigenData:
-    """Construct the eigenfunctions and their biorthogonal normalization.
+    """Normalize the adjoint eigenfunction at a verified Hopf point.
 
-    e11 = F'(i w), equal to :func:`bilinear` of psi1 and phi1 bit for bit; e22 is
-    its conjugate and Psi_i = psi_i / e_ii. A root with |e11| <= ``SIMPLE_TOL`` is
-    not simple: DegenerateSystemError. Nothing is re-paired: <Psi1, phi1> = 1 by
-    construction, and <Psi1, phi2> = Psi1(0) Im F(i w) / w is bounded by the residual
-    that :func:`ddecm.chareq.verify_hopf` checked.
+    e11 = ``hopf.slope`` = F'(i w), equal to :func:`bilinear` of psi1 and phi1 bit
+    for bit; e22 is its conjugate and Psi1 = psi1 / e11. A root that is not
+    ``hopf.simple`` (|e11| <= ``SIMPLE_TOL``) is DegenerateSystemError. Nothing is
+    re-paired: <Psi1, phi1> = 1 by construction, and <Psi1, phi2> =
+    Psi1(0) Im F(i w) / w is bounded by the residual that
+    :func:`ddecm.chareq.verify_hopf` checked.
     """
-    w = hopf.omega
-    r = lin.r
-    phi1 = ExpPoly.monomial(1.0, 1j * w, 0, (-r, 0.0))
-    phi2 = phi1.conjugate()
-    psi1 = ExpPoly.monomial(1.0, -1j * w, 0, (0.0, r))
-    psi2 = psi1.conjugate()
-    e11 = char_derivative(lin, 1j * w)
-    if abs(e11) <= SIMPLE_TOL:
+    if not hopf.simple:
         raise DegenerateSystemError("pairing matrix is degenerate; cannot normalize")
-    Psi1 = psi1.scale(1.0 / e11)
+    w, e11 = hopf.omega, hopf.slope
+    Psi1 = ExpPoly.monomial(1.0, -1j * w, 0, (0.0, lin.r)).scale(1.0 / e11)
     return EigenData(
         omega=w,
-        phi1=phi1,
-        phi2=phi2,
-        psi1=psi1,
-        psi2=psi2,
         e11=e11,
         e22=e11.conjugate(),  # the pairing of the conjugate pair
         Psi1=Psi1,
-        Psi2=Psi1.conjugate(),
         Psi1_at_0=Psi1.eval(0.0),
     )

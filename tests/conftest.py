@@ -50,6 +50,11 @@ def bench_eig(bench_lin):
 
 
 @pytest.fixture(scope="session")
+def bench_ef():
+    return eigenfunctions(R2_OMEGA, R2_R)
+
+
+@pytest.fixture(scope="session")
 def bench_model_c1(bench_lin) -> ModelSpec:
     return ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): C1})
 
@@ -352,6 +357,22 @@ def hopf_family_sample(seed: int) -> list[ModelSpec]:
 HOPF_FAMILY = hopf_family_sample(7)
 
 
+class Eigenfunctions(NamedTuple):
+    phi1: ExpPoly
+    phi2: ExpPoly
+    psi1: ExpPoly
+    psi2: ExpPoly
+
+
+def eigenfunctions(omega: float, r: float) -> Eigenfunctions:
+    """The critical eigenfunctions phi1 = e^{i w s}, phi2 = conj(phi1) on [-r, 0]
+    and the adjoint ones psi1 = e^{-i w z}, psi2 = conj(psi1) on [0, r], built
+    from (omega, r) alone."""
+    phi1 = ExpPoly.monomial(1.0, 1j * omega, 0, (-r, 0.0))
+    psi1 = ExpPoly.monomial(1.0, -1j * omega, 0, (0.0, r))
+    return Eigenfunctions(phi1, phi1.conjugate(), psi1, psi1.conjugate())
+
+
 def manifold_history(
     u0: complex,
     so,
@@ -363,7 +384,8 @@ def manifold_history(
     2 Re(u0 phi1) + sum over stored w profiles of w_jk u0^j conj(u0)^k / (j! k!).
     """
     ub = u0.conjugate()
-    out = eig.phi1.scale(u0) + eig.phi2.scale(ub)
+    ef = eigenfunctions(eig.omega, eig.Psi1.domain[1])
+    out = ef.phi1.scale(u0) + ef.phi2.scale(ub)
     out = out + so.w20.scale(u0 * u0 / 2) + so.w11.scale(u0 * ub) + so.w02.scale(ub * ub / 2)
     if third is not None:
         out = out + third.w21.scale(u0 * u0 * ub / 2) + third.w21.conjugate().scale(u0 * ub * ub / 2)

@@ -55,6 +55,7 @@ from conftest import (
     amplitude_ratio_limit,
     bilinear_quad,
     collocation_w21,
+    eigenfunctions,
     hopf_curve_model,
     perturbed_eigenfunctions,
     random_hopf_model,
@@ -142,13 +143,14 @@ class TestAcceptance:
     def test_criterion_4_biorthogonality(self, bench_model_c1, bench_lin, bench_eig):
         worst_pair = worst_w = 0.0
         so = second_order(bench_model_c1, bench_eig)
-        for i, Psi in ((1, bench_eig.Psi1), (2, bench_eig.Psi2)):
-            for j, phi in ((1, bench_eig.phi1), (2, bench_eig.phi2)):
+        ef = eigenfunctions(bench_eig.omega, bench_lin.r)
+        for i, Psi in ((1, bench_eig.Psi1), (2, bench_eig.Psi1.conjugate())):
+            for j, phi in ((1, ef.phi1), (2, ef.phi2)):
                 got = bilinear(Psi, phi, bench_lin)
                 worst_pair = max(worst_pair, abs(got - (1.0 if i == j else 0.0)))
         for prof in (so.w20, so.w11, so.w02):
-            worst_w = max(worst_w, abs(bilinear(bench_eig.psi2, prof, bench_lin)))
-            worst_w = max(worst_w, abs(bilinear(bench_eig.psi1, prof, bench_lin)))
+            worst_w = max(worst_w, abs(bilinear(ef.psi2, prof, bench_lin)))
+            worst_w = max(worst_w, abs(bilinear(ef.psi1, prof, bench_lin)))
         for eps in (1e-2, 1e-3):
             pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
             lin = LinearPart(pc.A, pc.B, pc.r)
@@ -219,11 +221,12 @@ class TestAcceptance:
             so = second_order(model, eig)
             rho = ExpPoly.monomial(-2.0, 1j * w, 1, (-r, 0.0))
             rho_t = ExpPoly.monomial(-2.0, -1j * w, 1, (0.0, r))
+            ef = eigenfunctions(w, r)
             pairs = [
-                (eig.psi1, eig.phi1), (eig.psi2, eig.phi2),
-                (eig.Psi1, rho), (eig.Psi2, rho),
+                (ef.psi1, ef.phi1), (ef.psi2, ef.phi2),
+                (eig.Psi1, rho), (eig.Psi1.conjugate(), rho),
                 (rho_t, so.w20), (rho_t, so.w11), (rho_t, so.w02),
-                (eig.psi2, so.w20), (eig.psi2, so.w11),
+                (ef.psi2, so.w20), (ef.psi2, so.w11),
             ]
             for psi, phi in pairs:
                 exact = bilinear(psi, phi, lin)

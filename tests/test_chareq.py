@@ -2,24 +2,25 @@
 
 import math
 import random
+import sys
 
 import pytest
 
 import ddecm.chareq as chareq
 from ddecm.chareq import (
     HOPF_TOL,
-    HopfPoint,
     LinearPart,
     audit_spectrum,
     char_derivative,
     char_value,
-    crossing_count,
     find_critical_frequency,
     verify_hopf,
 )
+from ddecm.cli import main
 from ddecm.errors import NotHopfPointError, SpectrumAuditWarning
+from ddecm.reduction import analyze_model
 
-from conftest import HOPF_FAMILY, RootOnContourError, count_roots_rect
+from conftest import HOPF_FAMILY, RootOnContourError, count_roots_rect, hopf_curve_model
 
 
 class TestCharValue:
@@ -47,7 +48,8 @@ class TestVerifyHopf:
     def test_benchmark(self, bench_lin):
         hopf = verify_hopf(bench_lin, 1.0)
         assert hopf.residual <= 1e-14
-        assert hopf.simple
+        assert hopf.slope == char_derivative(bench_lin, 1j)
+        assert hopf.simple and hopf.crossings == 1
 
     def test_wrong_frequency(self, bench_lin):
         with pytest.raises(NotHopfPointError):
@@ -67,6 +69,17 @@ class TestVerifyHopf:
     def test_nonpositive_omega_rejected(self, bench_lin):
         with pytest.raises(ValueError):
             verify_hopf(bench_lin, -1.0)
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_omega_not_finite_rejected(self, bench_lin, omega):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            verify_hopf(bench_lin, omega)
+
+    def test_nan_residual_rejected(self, bench_lin, monkeypatch):
+        # a NaN residual compares false against any tolerance: refused, not accepted
+        monkeypatch.setattr(chareq, "char_value", lambda lin, lam: complex(math.nan, math.nan))
+        with pytest.raises(NotHopfPointError):
+            verify_hopf(bench_lin, 1.0)
 
 
 class TestFindCriticalFrequency:
@@ -101,6 +114,13 @@ class TestFindCriticalFrequency:
         # a hint and a loose tolerance do not make |B| < |A| a Hopf point
         with pytest.raises(NotHopfPointError, match="no pure-imaginary eigenvalue pair"):
             find_critical_frequency(LinearPart(A, B, 1.0), omega_hint=0.5, tol=10.0)
+
+
+    @pytest.mark.parametrize("hint", [1e308, math.inf, -math.inf, math.nan])
+    def test_hint_past_the_floats(self, bench_lin, hint):
+        # Newton's phase w r must stay a finite float; sin(inf) once escaped as ValueError
+        with pytest.raises(NotHopfPointError, match="found no positive frequency"):
+            find_critical_frequency(bench_lin, omega_hint=hint)
 
 
 class TestCountRoots:
@@ -145,12 +165,6 @@ class TestCountRoots:
         assert len(calls) > 100
 
 
-def hopf_lin(omega, theta, k):
-    """The Hopf point with frequency omega, phase theta and crossing index k:
-    A = w cot(theta), B = -w / sin(theta), r = (theta + 2 pi k) / w."""
-    return LinearPart(omega / math.tan(theta), -omega / math.sin(theta), (theta + 2 * math.pi * k) / omega)
-
-
 def closed_count(lin, k):
     """Roots with Re >= 0 at the k-th crossing: the critical pair, 2k, and [A + B > 0]."""
     return 2 + 2 * k + (1 if lin.A + lin.B > 0 else 0)
@@ -188,16 +202,24 @@ class TestAudit:
         # (0.04, 3.2, 0): the unstable real root sits near A + B = 1.37, far
         # right of the critical frequency; (0.03, 0.065, 2): two earlier
         # crossings at small omega r
-        lin = hopf_lin(omega, theta, k)
+        lin = hopf_curve_model(omega, theta, k, {}).lin
         hopf = verify_hopf(lin, omega)
         with pytest.warns(SpectrumAuditWarning):
             assert audit_spectrum(lin, hopf) == want
-        assert crossing_count(lin, hopf) == k + 1
+        assert hopf.crossings == k + 1
+
+    @pytest.mark.parametrize("model", HOPF_FAMILY)
+    def test_crossings_over_family(self, model):
+        # the family's theta lies 0.05 inside (0, 2 pi), so w r / 2 pi = k + theta / 2 pi
+        # has floor k: an index independent of the count's own rounding
+        lin = model.lin
+        hopf = find_critical_frequency(lin)
+        assert hopf.crossings == math.floor(hopf.omega * lin.r / (2 * math.pi)) + 1
 
     @_QUIET
     @pytest.mark.parametrize("omega, theta, k", _GRID)
     def test_matches_lambert_branches(self, omega, theta, k):
-        lin = hopf_lin(omega, theta, k)
+        lin = hopf_curve_model(omega, theta, k, {}).lin
         roots = lambert_roots(lin)
         scale = abs(lin.A) + abs(lin.B)
         assert all(abs(char_value(lin, lam)) <= 1e-9 * (1 + scale) for lam in roots)
@@ -212,7 +234,7 @@ class TestAudit:
     def test_matches_argument_principle(self, theta, k):
         # every root with Re >= 0 has |lambda| <= |A| + |B|; the left edge sits
         # between the axis and the nearest stable root
-        lin = hopf_lin(1.0, theta, k)
+        lin = hopf_curve_model(1.0, theta, k, {}).lin
         hopf = verify_hopf(lin, 1.0)
         size = abs(lin.A) + abs(lin.B) + 1.0
         rect = (-0.02, size, -size, size)
@@ -221,30 +243,25 @@ class TestAudit:
     @_QUIET
     @pytest.mark.parametrize("omega, theta, k", [(0.03, 0.065, 2), (1.0, 4.0, 1), (30.0, 2.5, 0)])
     def test_on_axis_pair_counted_either_side_of_r_k(self, omega, theta, k):
-        lin = hopf_lin(omega, theta, k)
+        lin = hopf_curve_model(omega, theta, k, {}).lin
         want = closed_count(lin, k)
         for r in (math.nextafter(lin.r, 0.0), lin.r, math.nextafter(lin.r, math.inf)):
             nudged = LinearPart(lin.A, lin.B, r)
-            assert audit_spectrum(nudged, verify_hopf(nudged, omega)) == want
+            hopf = verify_hopf(nudged, omega)
+            assert hopf.crossings == k + 1
+            assert audit_spectrum(nudged, hopf) == want
 
     @pytest.mark.parametrize("A, B, want", [(0.5, 0.0, 1), (-0.5, 0.0, 0), (2.0, 1.0, 1),
                                             (2.0, -1.0, 1), (-2.0, 1.0, 0), (-2.0, -1.0, 0)])
     def test_linear_parts_without_crossings(self, A, B, want):
-        # |B| <= |A|: no root ever reaches the axis, so only A + B > 0 counts
+        # |B| <= |A|: no root ever reaches the axis, so only A + B > 0 counts; a
+        # loose tolerance lets i pass as the point
         lin = LinearPart(A, B, 1.3)
         assert count_roots_rect(lin, (-1e-3, 4.0, -4.0, 4.0)) == want
+        hopf = verify_hopf(lin, 1.0, tol=10.0)
+        assert hopf.crossings == 0
         with pytest.warns(SpectrumAuditWarning):
-            assert audit_spectrum(lin, HopfPoint(1.0, 0.0, True)) == want
-        assert crossing_count(lin, HopfPoint(1.0, 0.0, True)) == 0
-
-    @_QUIET
-    @pytest.mark.parametrize("r, want", [(1.0, 0), (2.5, 2), (5.0, 2), (8.0, 4)])
-    def test_between_crossings(self, r, want):
-        # x' = -x(t - r) crosses at r = pi/2 + 2 pi j; off those delays the
-        # nearest crossing is not on the axis and counts only once passed
-        lin = LinearPart(0.0, -1.0, r)
-        assert count_roots_rect(lin, (-1e-3, 2.0, -2.0, 2.0)) == want
-        assert audit_spectrum(lin, HopfPoint(1.0, 0.0, True)) == want
+            assert audit_spectrum(lin, hopf) == want
 
     @_QUIET
     def test_constant_number_of_char_evaluations(self, monkeypatch):
@@ -258,7 +275,7 @@ class TestAudit:
         monkeypatch.setattr(chareq, "char_value", counted)
         per_audit = []
         for omega, theta, k in _GRID[::5]:
-            lin = hopf_lin(omega, theta, k)
+            lin = hopf_curve_model(omega, theta, k, {}).lin
             hopf = verify_hopf(lin, omega)
             calls.clear()
             audit_spectrum(lin, hopf)
@@ -272,10 +289,44 @@ class TestAudit:
         assert count == 1
 
     def test_violation_warns_but_does_not_fail(self):
-        # synthetic Hopf point over a linear part with a single real root: the
-        # audit finds 1 root where 2 are expected and only warns
+        # a loosely verified point over a linear part with a single real root:
+        # the audit finds 1 root where 2 are expected and only warns
         lin = LinearPart(0.5, 0.0, 1.0)
         with pytest.warns(SpectrumAuditWarning):
-            count = audit_spectrum(lin, HopfPoint(1.0, 0.0, True))
+            count = audit_spectrum(lin, verify_hopf(lin, 1.0, tol=10.0))
         assert count == 1
+
+
+def count_calls(monkeypatch, name):
+    """Calls of ``chareq.<name>``, counted in every ddecm module that holds it."""
+    calls = []
+    inner = getattr(chareq, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ddecm") and getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestEvaluatedOnce:
+    """The Hopf point carries F'(i w) and the crossing count: nothing downstream
+    evaluates the characteristic function again."""
+
+    def test_analyze_model_evaluates_the_slope_once(self, monkeypatch, bench_model_c1):
+        slopes = count_calls(monkeypatch, "char_derivative")
+        analyze_model(bench_model_c1, eps_grid=None, audit=True)
+        assert len(slopes) == 1
+
+    @pytest.mark.parametrize("argv", [["roots"], ["analyze", "--no-oracle", "--audit"]])
+    def test_cli_evaluates_f_once(self, monkeypatch, tmp_path, argv):
+        model = tmp_path / "model.json"
+        model.write_text('{"A": 0.0, "B": -1.0, "r": 1.5707963267948966, "C": {"2,0": 2.0}}')
+        values = count_calls(monkeypatch, "char_value")
+        slopes = count_calls(monkeypatch, "char_derivative")
+        assert main([argv[0], "--model", str(model), "--out", str(tmp_path / "out"), *argv[1:]]) == 0
+        assert len(values) == 1 and len(slopes) == 1
 

@@ -118,6 +118,45 @@ class TestModelFile:
         assert "error[ModelFileError]" in capsys.readouterr().err
 
 
+def strict_json(text):
+    """json.loads refusing NaN and Infinity, which no JSON document may hold."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOmegaHint:
+    SWEEP = {"param": "C1,1", "min": -4.0, "max": 4.0, "points": 20}
+
+    def run(self, tmp_path, command, hint):
+        """Exit code and output path of ``command`` on the bundled model with
+        ``hint``; every JSON document written must be strict JSON."""
+        model = write_model(tmp_path, omega_hint=hint, sweep=self.SWEEP)
+        out = tmp_path / "out"
+        code = main([command, "--model", model, "--out", str(out)])
+        if out.exists() and command in ("analyze", "perturb-check", "roots"):
+            strict_json(out.read_text())
+        return code, out
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "perturb-check", "roots", "simulate"])
+    def test_non_finite_hint_rejects_the_file(self, tmp_path, capsys, command, hint):
+        # a NaN hint once reached the roots document as "omega": NaN
+        code, out = self.run(tmp_path, command, hint)
+        assert code == 1 and not out.exists()
+        assert f"error[ModelFileError]: omega_hint must be finite, got {hint!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "perturb-check", "roots"])
+    def test_newton_past_the_floats_is_no_hopf_point(self, tmp_path, capsys, command):
+        # 1e308 is finite, but Newton's steps from it leave the floats
+        code, out = self.run(tmp_path, command, 1e308)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "error[NotHopfPointError]: Newton on Im F(i*omega) found no positive frequency" in err
+
+
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command", ["analyze", "sweep", "perturb-check", "roots"])

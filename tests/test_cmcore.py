@@ -40,6 +40,7 @@ from conftest import (
     adaptive_simpson,
     bilinear_quad,
     collocation_w21,
+    eigenfunctions,
     exppoly_stage,
     hopf_curve_model,
     random_hopf_model,
@@ -113,9 +114,10 @@ class TestSecondOrder:
 
     def test_orthogonal_to_adjoint_pair(self, bench_model_c1, bench_lin, bench_eig):
         so = second_order(bench_model_c1, bench_eig)
+        ef = eigenfunctions(bench_eig.omega, bench_lin.r)
         for prof in (so.w20, so.w11, so.w02):
-            assert abs(bilinear(bench_eig.psi1, prof, bench_lin)) <= 1e-10
-            assert abs(bilinear(bench_eig.psi2, prof, bench_lin)) <= 1e-10
+            assert abs(bilinear(ef.psi1, prof, bench_lin)) <= 1e-10
+            assert abs(bilinear(ef.psi2, prof, bench_lin)) <= 1e-10
 
     def test_overflowing_coefficients_rejected(self, bench_lin, bench_eig):
         # the profiles' terms overflow to nan; no later stage may run on them
@@ -147,16 +149,9 @@ class TestSecondOrder:
 
 def _fake_eig(lin: LinearPart, omega: float) -> EigenData:
     """EigenData shaped like the real thing without Hopf verification."""
-    r = lin.r
-    phi1 = ExpPoly.monomial(1.0, 1j * omega, 0, (-r, 0.0))
-    psi1 = ExpPoly.monomial(1.0, -1j * omega, 0, (0.0, r))
-    e11 = 1.0 - (lin.A - 1j * omega) * r
-    Psi1 = psi1.scale(1.0 / e11)
-    return EigenData(
-        omega=omega, phi1=phi1, phi2=phi1.conjugate(), psi1=psi1, psi2=psi1.conjugate(),
-        e11=e11, e22=e11.conjugate(), Psi1=Psi1, Psi2=Psi1.conjugate(),
-        Psi1_at_0=1.0 / e11,
-    )
+    e11 = 1.0 - (lin.A - 1j * omega) * lin.r
+    Psi1 = ExpPoly.monomial(1.0, -1j * omega, 0, (0.0, lin.r)).scale(1.0 / e11)
+    return EigenData(omega=omega, e11=e11, e22=e11.conjugate(), Psi1=Psi1, Psi1_at_0=1.0 / e11)
 
 
 class TestThirdOrderRhs:
@@ -262,7 +257,7 @@ class TestW21:
         rho_t = ExpPoly.monomial(-2.0, -1j * w, 1, (0.0, r))
         for psi, phi in (
             (bench_eig.Psi1, rho),
-            (bench_eig.Psi2, rho),
+            (bench_eig.Psi1.conjugate(), rho),
             (rho_t, so.w20),
             (rho_t, so.w11),
             (rho_t, so.w02),

@@ -111,7 +111,7 @@ def random_hopf_models(seed, count):
     for _ in range(count):
         omega = math.exp(rng.uniform(math.log(0.03), math.log(30.0)))
         theta = rng.uniform(0.05, math.pi - 0.05)
-        lin = LinearPart(omega / math.tan(theta), -omega / math.sin(theta), theta / omega)
+        lin = hopf_curve_model(omega, theta, 0, {}).lin
         out.append(ModelSpec(lin, {key: rng.uniform(-2.0, 2.0) for key in C_KEYS}))
     return out
 

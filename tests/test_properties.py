@@ -11,7 +11,7 @@ are dependent, B R1 = R2, through four identities (see
 
 Biorthogonality: the adjoint eigenfunctions Psi1, Psi2 are dual to phi1,
 phi2 under the bilinear form, here paired by the ExpPoly route of
-``spectral.bilinear`` rather than by ``build_eigendata``'s scalar check.
+``spectral.bilinear``; the kit itself re-pairs nothing.
 """
 
 import cmath
@@ -27,7 +27,7 @@ from ddecm.modelio import dump_json
 from ddecm.reduction import analyze_model
 from ddecm.spectral import bilinear, build_eigendata
 
-from conftest import HOPF_FAMILY, hopf_curve_model
+from conftest import HOPF_FAMILY, eigenfunctions, hopf_curve_model
 
 _TAYLOR_KEYS = ((2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -72,8 +72,9 @@ def test_rows_dependent(theta, k, omega, C):
 def test_biorthogonality(theta, k, omega):
     lin = hopf_curve_model(omega, theta, k, {}).lin
     eig = build_eigendata(lin, find_critical_frequency(lin, omega))
-    for i, Psi in ((1, eig.Psi1), (2, eig.Psi2)):
-        for j, phi in ((1, eig.phi1), (2, eig.phi2)):
+    ef = eigenfunctions(eig.omega, lin.r)
+    for i, Psi in ((1, eig.Psi1), (2, eig.Psi1.conjugate())):
+        for j, phi in ((1, ef.phi1), (2, ef.phi2)):
             assert abs(bilinear(Psi, phi, lin) - (1.0 if i == j else 0.0)) <= 1e-13
 
 
