@@ -2,9 +2,11 @@
 
 Both stages are written once, for an eigenvalue ``lam = mu + i w`` of the
 linear part: ``mu = 0`` is the critical problem, and the perturbation oracle
-(``perturb``) calls the same functions at ``mu > 0``. Every w profile is a
-sum of three exponentials, kept as its (coeff, rate) pairs, so the kernel
-integrals and pairings of the cubic stage are scalar sums of
+(``perturb``) calls the same functions at ``mu > 0``. The quadratic stage
+evaluates f21, the w21 forcing weights and every exponential of ``lam``
+once; the cubic stage reads them from its ``SecondOrder``. Every w
+profile is a sum of three exponentials, kept as its (coeff, rate) pairs, so
+the kernel integrals and pairings of the cubic stage are scalar sums of
 ``exppoly.moment``; ExpPoly profiles are built only when asked for (the
 report serializes them). At criticality the cubic stage also yields the
 degeneracy identities of the singular w21 system and the admissible w21(0),
@@ -67,9 +69,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SecondOrder:
-    """Quadratic data: f/g coefficients, and each w profile as its endpoints
-    and its three (coeff, rate) terms on [-r, 0]. The ExpPoly profiles
-    ``w20``, ``w11``, ``w02`` are built on first use."""
+    """Quadratic data at one eigenvalue ``lam``: f/g coefficients, each w profile
+    as its endpoints and its three (coeff, rate) terms on [-r, 0], and the f21,
+    forcing weights and exponentials that the cubic stage at ``lam`` reads. The
+    ExpPoly profiles ``w20``, ``w11``, ``w02`` are built on first use."""
 
     f20: complex
     f11: complex
@@ -87,11 +90,11 @@ class SecondOrder:
     t11: Terms
     t02: Terms
     r: float
-
-    @property
-    def forcing_weights(self) -> tuple[complex, complex, complex]:
-        """Weights of w20, w11, w02 in the w21 forcing: 2 g11, g20 + 2 conj(g11), conj(g02)."""
-        return 2 * self.g11, self.g20 + 2 * self.g11.conjugate(), self.g02.conjugate()
+    f21: complex
+    forcing_weights: tuple[complex, complex, complex]  # of w20, w11, w02: 2 g11, g20 + 2 conj(g11), conj(g02)
+    elr: complex  # e^{-lam r}
+    elbr: complex  # e^{-conj(lam) r}
+    enur: complex  # e^{-nu r}, nu = 2 lam + conj(lam)
 
     @cached_property
     def w20(self) -> ExpPoly:
@@ -133,7 +136,8 @@ def quadratic_data(
     psi0: complex,
     model: ModelSpec,
 ) -> SecondOrder:
-    """Solve both quadratic boundary systems and collect the profiles' terms.
+    """Solve both quadratic boundary systems, collect the profiles' terms and
+    evaluate f21 from their endpoints and the cubic Taylor coefficients.
 
     w20 and w11 solve one system at rate rho = 2 lam and rho = 2 mu: the
     profile is ``K e^{rho s} - (g / d) e^{lam s} - (g' / d') e^{conj(lam) s}``
@@ -146,10 +150,12 @@ def quadratic_data(
     perturbed = mu != 0.0
     det_tol = 1e-12 if perturbed else 1e-10
     lamb = lam.conjugate()
+    nu = 2 * lam + lamb
     elr = cmath.exp(-lam * r)
     elbr = cmath.exp(-lamb * r)
     e2lr = cmath.exp(-2 * lam * r)
     e2mr = math.exp(-2 * mu * r)
+    enur = cmath.exp(-nu * r)
 
     C20, C11, C02 = model.c(2, 0), model.c(1, 1), model.c(0, 2)
     f20 = C20 + 2 * C11 * elr + C02 * e2lr
@@ -183,35 +189,27 @@ def quadratic_data(
     for c, _ in t20 + t11:
         if not cmath.isfinite(c):
             raise ValueError(f"coeff must be finite, got {c!r}")
+    f21 = (
+        C20 * (2 * w11_0 + w20_0)
+        + C11 * (w20_0 * elbr + 2 * w11_0 * elr + w20_mr + 2 * w11_mr)
+        + C02 * (2 * w11_mr * elr + w20_mr * elbr)
+        + model.c(3, 0)
+        + model.c(2, 1) * (2 * elr + elbr)
+        + model.c(1, 2) * (2 * e2mr + e2lr)
+        + model.c(0, 3) * (elbr * e2lr)
+    )
     return SecondOrder(
         f20=f20, f11=f11, f02=f02, g20=g20, g11=g11, g02=g02,
         w20_0=w20_0, w20_mr=w20_mr,
         w11_0=w11_0, w11_mr=w11_mr,
         w02_0=w20_0.conjugate(), w02_mr=w20_mr.conjugate(),
         t20=t20, t11=t11, t02=tuple((c.conjugate(), rate.conjugate()) for c, rate in t20), r=r,
+        f21=f21, forcing_weights=(2 * g11, g20 + 2 * gb11, gb02), elr=elr, elbr=elbr, enur=enur,
     )
 
 
 # ---------------------------------------------------------------------------
 # cubic stage at a general lam; criticality is mu = 0
-
-
-def cubic_f21(model: ModelSpec, lam: complex, so: SecondOrder, r: float) -> complex:
-    """f21 from the quadratic endpoints and the cubic Taylor coefficients."""
-    mu = lam.real
-    lamb = lam.conjugate()
-    elr = cmath.exp(-lam * r)
-    elbr = cmath.exp(-lamb * r)
-    return (
-        model.c(2, 0) * (2 * so.w11_0 + so.w20_0)
-        + model.c(1, 1)
-        * (so.w20_0 * elbr + 2 * so.w11_0 * elr + so.w20_mr + 2 * so.w11_mr)
-        + model.c(0, 2) * (2 * so.w11_mr * elr + so.w20_mr * elbr)
-        + model.c(3, 0)
-        + model.c(2, 1) * (2 * elr + elbr)
-        + model.c(1, 2) * (2 * math.exp(-2 * mu * r) + cmath.exp(-2 * lam * r))
-        + model.c(0, 3) * (elbr * cmath.exp(-2 * lam * r))
-    )
 
 
 def _kernel_integral(terms: Terms, shift: complex, r: float, k: int = 0) -> complex:
@@ -256,9 +254,8 @@ class CubicStage(NamedTuple):
         ``mu > 0`` the identities do not hold and the residuals mean nothing."""
         so = self.so
         weights = so.forcing_weights
-        enur = cmath.exp(-(2 * self.lam + self.lam.conjugate()) * self.r)
         res2, res3, res4 = (
-            abs(c * (self.B * enur * v + w0))
+            abs(c * (self.B * so.enur * v + w0))
             for c, v, w0 in zip(weights, (self.i20, self.i11, self.i02), (so.w20_0, so.w11_0, so.w02_0))
         )
         return DegeneracyReport(
@@ -284,22 +281,20 @@ class CubicStage(NamedTuple):
         mu = lam.real
         lamb = lam.conjugate()
         nu = 2 * lam + lamb
-        elr = cmath.exp(-lam * r)
         if mu == 0.0:
             k1 = -2.0 * moment(0j, 1, -r, 0.0)
             k2 = -2.0 * moment(lam - lamb, 1, -r, 0.0)
 
             def tilde(terms: Terms, i: complex) -> complex:
-                return -2.0 * B * elr * (_kernel_integral(terms, lam, r, 1) + r * i)
+                return -2.0 * B * so.elr * (_kernel_integral(terms, lam, r, 1) + r * i)
         else:
             k1 = (r - moment(nu - lam, 0, -r, 0.0)) / mu
             k2 = (moment(lam - lamb, 0, -r, 0.0) - moment(nu - lamb, 0, -r, 0.0)) / mu
-            enur = cmath.exp(-nu * r)
 
             def tilde(terms: Terms, i: complex) -> complex:
-                return B * (enur * i - elr * _kernel_integral(terms, lam, r)) / mu
+                return B * (so.enur * i - so.elr * _kernel_integral(terms, lam, r)) / mu
 
-        pair_rho = B * (self.psi0 * elr * k1 + (self.psi0 * elr).conjugate() * k2)
+        pair_rho = B * (self.psi0 * so.elr * k1 + (self.psi0 * so.elr).conjugate() * k2)
         return (pair_rho,) + tuple(
             tilde(t, i) for t, i in zip((so.t20, so.t11, so.t02), (self.i20, self.i11, self.i02))
         )
@@ -316,24 +311,21 @@ class CubicStage(NamedTuple):
         if mu == 0.0:
             h2 = 2 * r * lam.imag * 1j - 2 * r * A + 2.0
         else:
-            h2 = B * cmath.exp(-lam * r) * (-math.expm1(-2 * mu * r) / mu) + 2.0
+            h2 = B * self.so.elr * (-math.expm1(-2 * mu * r) / mu) + 2.0
         pair_rho, *pairs = self.pairings()
         h1 = self.f21 * pair_rho - sum(c * p for c, p in zip(self.so.forcing_weights, pairs))
         return h1, h2
 
 
 def cubic_stage(
-    A: float, B: float, r: float, lam: complex, psi0: complex, model: ModelSpec, so: SecondOrder
+    A: float, B: float, r: float, lam: complex, psi0: complex, so: SecondOrder
 ) -> CubicStage:
-    """f21, g21, conj(g12), the kernel integrals, R1, R2 and Delta of the w21
-    system at ``lam`` (see :class:`CubicStage`)."""
+    """g21, conj(g12), the kernel integrals, R1, R2 and Delta of the w21
+    system at ``lam``, from the quadratic data ``so`` at the same ``lam``
+    (see :class:`CubicStage`)."""
     mu = lam.real
-    lamb = lam.conjugate()
-    nu = 2 * lam + lamb
-    elr = cmath.exp(-lam * r)
-    elbr = cmath.exp(-lamb * r)
-    enur = cmath.exp(-nu * r)
-    f21 = cubic_f21(model, lam, so, r)
+    nu = 2 * lam + lam.conjugate()
+    f21, elr, elbr, enur = so.f21, so.elr, so.elbr, so.enur
     g21 = psi0 * f21
     g12_bar = psi0.conjugate() * f21  # f12 = conj(f21): the nonlinearity is real
     if mu == 0.0:
@@ -367,7 +359,7 @@ def second_order(model: ModelSpec, eig: EigenData) -> SecondOrder:
 def third_order_rhs(model: ModelSpec, eig: EigenData, so: SecondOrder) -> CubicStage:
     """The cubic stage at the Hopf point itself (mu = 0)."""
     lin = model.lin
-    return cubic_stage(lin.A, lin.B, lin.r, 1j * eig.omega, eig.Psi1_at_0, model, so)
+    return cubic_stage(lin.A, lin.B, lin.r, 1j * eig.omega, eig.Psi1_at_0, so)
 
 
 def degeneracy_report(model: ModelSpec, eig: EigenData, so: SecondOrder) -> DegeneracyReport:
@@ -391,7 +383,7 @@ def w21_at_minus_r(stage: CubicStage, w21_0: complex) -> complex:
     """w21(-r) from the first row of the critical ``stage``'s system; the
     second row must hold to 1e-9 relative to R2."""
     A, B, lam, R2 = stage.A, stage.B, stage.lam, stage.R2
-    value = cmath.exp(-lam * stage.r) * w21_0 + stage.R1
+    value = stage.so.elr * w21_0 + stage.R1
     residual = abs(-(lam - A) * w21_0 + B * value - R2)
     if residual > 1e-9 * (1.0 + abs(R2)):
         raise InconsistencyError(

@@ -47,17 +47,6 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _rhs_table(model: ModelSpec) -> list[list[float]]:
-    """``a[p][q]`` with ``f(x, xd) = sum a[p][q] x^p xd^q``: A, B and every
-    C[j, k] / (j! k!) folded once (``ModelSpec`` keeps 2 <= j + k <= 3)."""
-    a = [[0.0] * 4 for _ in range(4)]
-    a[1][0] = model.lin.A
-    a[0][1] = model.lin.B
-    for (j, k), c in model.C.items():
-        a[j][k] = c / (math.factorial(j) * math.factorial(k))
-    return a
-
-
 def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     """Classic one-step 4th-order integration on a grid the delay fits exactly.
 
@@ -89,6 +78,8 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
     n = int(math.ceil(cfg.horizon / dt))
     if n > MAX_SIM_STEPS:  # the snapped step is up to 5 % shorter than cfg.dt
         raise ValueError(f"horizon / (r / {n_hist}) = {n} steps exceeds {MAX_SIM_STEPS}")
+    if not math.isfinite(cfg.history):
+        raise ValueError("history must be finite")
 
     h = cfg.history
     if abs(h) > _HISTORY_WARN:
@@ -97,11 +88,11 @@ def integrate_dde(model: ModelSpec, cfg: SimConfig) -> Trajectory:
             "truncation of the nonlinearity may not be meaningful",
             stacklevel=2,
         )
-    a = _rhs_table(model)
-    a01, a02, a03 = a[0][1:]
-    a10, a11, a12 = a[1][:3]
-    a20, a21 = a[2][:2]
-    c3 = a[3][0]
+    # f(x, xd) = sum a_pq x^p xd^q with a_pq = C[p, q] / (p! q!)
+    a01, a02, a03 = model.lin.B, model.c(0, 2) / 2, model.c(0, 3) / 6
+    a10, a11, a12 = model.lin.A, model.c(1, 1), model.c(1, 2) / 2
+    a20, a21 = model.c(2, 0) / 2, model.c(2, 1) / 2
+    c3 = model.c(3, 0) / 6
 
     def coeffs(xd: float) -> tuple[float, float, float]:
         # x^0, x^1, x^2 coefficients of f(., xd); the x^3 one is c3

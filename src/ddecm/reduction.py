@@ -23,7 +23,6 @@ from .cmcore import (
     ModelSpec,
     SecondOrder,
     ThirdOrder,
-    cubic_f21,
     second_order,
     third_order,
     third_order_rhs,
@@ -56,17 +55,14 @@ def assemble_reduced(
 
     Third-order terms other than g21 are not required for the first Lyapunov
     coefficient and are recorded as absent. Without ``third``, g21 is
-    ``Psi1(0) f21``, computed alone: it needs none of the w21 system.
+    ``Psi1(0) f21`` with the f21 of ``so``: it needs none of the w21 system.
     """
     g: dict[tuple[int, int], complex] = {
         (2, 0): so.g20,
         (1, 1): so.g11,
         (0, 2): so.g02,
     }
-    if third is not None:
-        g[(2, 1)] = third.stage.g21
-    else:
-        g[(2, 1)] = eig.Psi1_at_0 * cubic_f21(model, 1j * eig.omega, so, model.lin.r)
+    g[(2, 1)] = eig.Psi1_at_0 * so.f21 if third is None else third.stage.g21
     return ReducedEquation(lambda1=1j * eig.omega, g=g)
 
 
@@ -104,28 +100,30 @@ QUADRATIC_CHECK_TOL = 1e-9
 # the largest sweep grid: the grid and its values are held as Python lists
 MAX_SWEEP_POINTS = 10**6
 
+# the sweepable parameters, one canonical name "Cj,k" per Taylor coefficient
+_SWEEP_PARAMS = {f"C{j},{k}": (j, k) for j, k in _VALID_KEYS}
+
 
 def check_sweep(param: str, lo: float, hi: float, n_points: int) -> tuple[int, int]:
-    """(j, k) of a ``"Cj,k"`` sweep parameter, if ``lo < hi`` and ``n_points``
-    is from 2 to ``MAX_SWEEP_POINTS``; ``ValueError`` otherwise.
+    """(j, k) of a ``"Cj,k"`` sweep parameter, if ``lo < hi`` with a finite
+    ``hi - lo`` and ``n_points`` is from 2 to ``MAX_SWEEP_POINTS``;
+    ``ValueError`` otherwise.
 
     Only a Taylor coefficient can be swept: moving A, B or r alone leaves
     the Hopf point.
     """
     if not lo < hi:
         raise ValueError(f"sweep range [{lo}, {hi}] is empty")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"sweep range [{lo}, {hi}] must have a finite width")
     if not 2 <= n_points <= MAX_SWEEP_POINTS:
         raise ValueError(f"n_points must be from 2 to {MAX_SWEEP_POINTS}, got {n_points}")
-    try:
-        key = tuple(int(part) for part in param[1:].split(",")) if param.startswith("C") else None
-    except ValueError:
-        key = None
-    if key not in _VALID_KEYS:
+    if param not in _SWEEP_PARAMS:
         raise ValueError(
             f"unknown sweep parameter {param!r}: only a Taylor coefficient 'Cj,k' "
             "with 2 <= j+k <= 3 can be swept"
         )
-    return key
+    return _SWEEP_PARAMS[param]
 
 
 def sweep_l1_zeros(

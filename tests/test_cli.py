@@ -385,7 +385,9 @@ class TestSweep:
         model = write_model(tmp_path, sweep={"param": "C1,1", "min": 4.0, "max": -4.0, "points": 10})
         assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
 
-    @pytest.mark.parametrize("param", ["A", "B", "r", "C1,0", "C2"])
+    # a non-canonical spelling of C1,1 or C0,2 was once swept and echoed
+    # into the CSV header as given: "C+1,+1,l1"
+    @pytest.mark.parametrize("param", ["A", "B", "r", "C1,0", "C2", "C+1,+1", "C 1, 1", "C-0,2", "C01,1", "C1,1 "])
     def test_only_taylor_coefficients_sweep(self, tmp_path, capsys, param):
         model = write_model(tmp_path, sweep={"param": param, "min": -1.2, "max": -0.8, "points": 10})
         assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
@@ -396,6 +398,9 @@ class TestSweep:
     @pytest.mark.parametrize("sweep,words", [
         ({"param": "C1,1", "min": -1.2, "max": -0.8, "points": 1}, "from 2 to"),
         ({"param": "A", "min": -1.2, "max": -0.8, "points": 10}, "'Cj,k'"),
+        # both once loaded, then failed in the pipeline naming a coefficient
+        ({"param": "C1,1", "min": -math.inf, "max": math.inf, "points": 10}, "[-inf, inf] must have a finite width"),
+        ({"param": "C1,1", "min": -1e308, "max": 1e308, "points": 10}, "[-1e+308, 1e+308] must have a finite width"),
     ])
     def test_bad_sweep_block_rejects_the_file(self, tmp_path, capsys, command, sweep, words):
         # the sweep block is validated when the file loads, whichever command reads it
@@ -541,6 +546,21 @@ class TestSimulate:
         assert proc.returncode == 1
         assert f"steps exceeds {MAX_SIM_STEPS}" in proc.stderr
         assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_history_exit_1(self, tmp_path, capsys, value):
+        # a history that is no finite number is a bad file value, not a divergence
+        model = write_model(tmp_path, sim={"history": value})
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--model", model, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error[ValueError]: history must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:history amplitude")
+    def test_huge_finite_history_diverges(self, tmp_path, capsys):
+        model = write_model(tmp_path, sim={"history": 1e308})
+        assert main(["simulate", "--model", model, "--out", str(tmp_path / "t.csv")]) == 2
+        assert "error[DivergenceError]: |x| exceeded 1e+06 at t = 0" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:history amplitude")
     def test_blow_up_exit_2(self, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Reduced equation, first Lyapunov coefficient, sweeps, and the report pipeline."""
 
+import cmath
+import math
+import types
 from collections import Counter
 
 import pytest
@@ -262,6 +265,34 @@ class TestComputedOnce:
         # the critical stage once, at lam = i w; the oracle's at mu_eps > 0
         assert [lam.real for lam in stage_lams].count(0.0) == 1
         assert all(lam.real > 0 for lam in stage_lams[1:])
+
+    @pytest.fixture
+    def exp_calls(self, monkeypatch):
+        """The arguments of every cmath.exp and math.exp call made in cmcore."""
+        calls = []
+        for name, module in (("cmath", cmath), ("math", math)):
+            def exp(x, exp=module.exp):
+                calls.append(x)
+                return exp(x)
+            names = {n: getattr(module, n) for n in dir(module) if not n.startswith("_")}
+            monkeypatch.setattr(cmcore, name, types.SimpleNamespace(**{**names, "exp": exp}))
+        return calls
+
+    def test_each_exponential_evaluated_once(self, bench_model_c1, bench_eig, exp_calls):
+        # the quadratic stage evaluates e^{-lam r}, e^{-conj(lam) r}, e^{-2 lam r},
+        # e^{-2 mu r} and e^{-nu r}; every later stage reads them from SecondOrder
+        model, eig = bench_model_c1, bench_eig
+        so = second_order(model, eig)
+        stage = third_order_rhs(model, eig, so)
+        stage.degeneracy()
+        third_order(model, eig, so, stage)
+        assert len(exp_calls) == 5
+        exp_calls.clear()
+        perturb.perturbed_stage(model, eig.omega, 1e-2)
+        assert len(exp_calls) == 5
+        exp_calls.clear()
+        assemble_reduced(model, eig, second_order(model, eig))  # one sweep node
+        assert len(exp_calls) == 5
 
     def test_perturbed_problems_build_no_exppoly(self, bench_model_c1, bench_eig, monkeypatch):
         built = []
