@@ -4,13 +4,13 @@ Both stages are written once, for an eigenvalue ``lam = mu + i w`` of the
 linear part: ``mu = 0`` is the critical problem, and the perturbation oracle
 (``perturb``) calls the same functions at ``mu > 0``. The quadratic stage
 evaluates f21, the w21 forcing weights and every exponential of ``lam``
-once; the cubic stage reads them from its ``SecondOrder``. Every w
-profile is a sum of three exponentials, kept as its (coeff, rate) pairs, so
-the kernel integrals and pairings of the cubic stage are scalar sums of
-``exppoly.moment``; ExpPoly profiles are built only when asked for (the
-report serializes them). At criticality the cubic stage also yields the
-degeneracy identities of the singular w21 system and the admissible w21(0),
-the regularized limit h1/h2 of the perturbed solves.
+once; the cubic stage reads them, and ``lam`` itself, from its
+``SecondOrder``. Every w profile is a sum of three exponentials, kept as its
+(coeff, rate) pairs, so the kernel integrals and pairings of the cubic stage
+are scalar sums of ``exppoly.moment``; ExpPoly profiles are built only when
+asked for (the report serializes them). At criticality the cubic stage also
+yields the degeneracy identities of the singular w21 system and the
+admissible w21(0), the regularized limit h1/h2 of the perturbed solves.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class SecondOrder:
-    """Quadratic data at one eigenvalue ``lam``: f/g coefficients, each w profile
-    as its endpoints and its three (coeff, rate) terms on [-r, 0], and the f21,
-    forcing weights and exponentials that the cubic stage at ``lam`` reads. The
-    ExpPoly profiles ``w20``, ``w11``, ``w02`` are built on first use."""
+    """Quadratic data at one eigenvalue ``lam``, kept with ``r`` and ``nu``: f/g
+    coefficients, each w profile as its endpoints and its three (coeff, rate)
+    terms on [-r, 0], and the f21, forcing weights and exponentials that the
+    cubic stage reads with ``lam`` and ``r``, so it cannot mix two eigenvalues'
+    data. The ExpPoly profiles ``w20``, ``w11``, ``w02`` are built on first use."""
 
     f20: complex
     f11: complex
@@ -90,11 +91,13 @@ class SecondOrder:
     t11: Terms
     t02: Terms
     r: float
+    lam: complex
+    nu: complex  # 2 lam + conj(lam)
     f21: complex
     forcing_weights: tuple[complex, complex, complex]  # of w20, w11, w02: 2 g11, g20 + 2 conj(g11), conj(g02)
     elr: complex  # e^{-lam r}
     elbr: complex  # e^{-conj(lam) r}
-    enur: complex  # e^{-nu r}, nu = 2 lam + conj(lam)
+    enur: complex  # e^{-nu r}
 
     @cached_property
     def w20(self) -> ExpPoly:
@@ -202,8 +205,8 @@ def quadratic_data(
         f20=f20, f11=f11, f02=f02, g20=g20, g11=g11, g02=g02,
         w20_0=w20_0, w20_mr=w20_mr,
         w11_0=w11_0, w11_mr=w11_mr,
-        w02_0=w20_0.conjugate(), w02_mr=w20_mr.conjugate(),
-        t20=t20, t11=t11, t02=tuple((c.conjugate(), rate.conjugate()) for c, rate in t20), r=r,
+        w02_0=w20_0.conjugate(), w02_mr=w20_mr.conjugate(), r=r, lam=lam, nu=nu,
+        t20=t20, t11=t11, t02=tuple((c.conjugate(), rate.conjugate()) for c, rate in t20),
         f21=f21, forcing_weights=(2 * g11, g20 + 2 * gb11, gb02), elr=elr, elbr=elbr, enur=enur,
     )
 
@@ -277,10 +280,9 @@ class CubicStage(NamedTuple):
         ``-2 s e^{i w s}`` and ``-2 z e^{-i w z}``. Both kernels vanish at 0,
         so each pairing is its B-weighted integral alone.
         """
-        B, r, lam, so = self.B, self.r, self.lam, self.so
+        B, r, lam, nu, so = self.B, self.r, self.lam, self.so.nu, self.so
         mu = lam.real
         lamb = lam.conjugate()
-        nu = 2 * lam + lamb
         if mu == 0.0:
             k1 = -2.0 * moment(0j, 1, -r, 0.0)
             k2 = -2.0 * moment(lam - lamb, 1, -r, 0.0)
@@ -317,14 +319,12 @@ class CubicStage(NamedTuple):
         return h1, h2
 
 
-def cubic_stage(
-    A: float, B: float, r: float, lam: complex, psi0: complex, so: SecondOrder
-) -> CubicStage:
+def cubic_stage(A: float, B: float, psi0: complex, so: SecondOrder) -> CubicStage:
     """g21, conj(g12), the kernel integrals, R1, R2 and Delta of the w21
-    system at ``lam``, from the quadratic data ``so`` at the same ``lam``
-    (see :class:`CubicStage`)."""
+    system at the eigenvalue ``so.lam`` of the quadratic data ``so`` (see
+    :class:`CubicStage`)."""
+    r, lam, nu = so.r, so.lam, so.nu
     mu = lam.real
-    nu = 2 * lam + lam.conjugate()
     f21, elr, elbr, enur = so.f21, so.elr, so.elbr, so.enur
     g21 = psi0 * f21
     g12_bar = psi0.conjugate() * f21  # f12 = conj(f21): the nonlinearity is real
@@ -359,7 +359,7 @@ def second_order(model: ModelSpec, eig: EigenData) -> SecondOrder:
 def third_order_rhs(model: ModelSpec, eig: EigenData, so: SecondOrder) -> CubicStage:
     """The cubic stage at the Hopf point itself (mu = 0)."""
     lin = model.lin
-    return cubic_stage(lin.A, lin.B, lin.r, 1j * eig.omega, eig.Psi1_at_0, so)
+    return cubic_stage(lin.A, lin.B, eig.Psi1_at_0, so)
 
 
 def degeneracy_report(model: ModelSpec, eig: EigenData, so: SecondOrder) -> DegeneracyReport:

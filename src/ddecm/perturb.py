@@ -79,7 +79,7 @@ def perturbed_stage(model: ModelSpec, omega: float, eps: float) -> CubicStage:
         (1.0 - A_eps * r + mu * r) ** 2 + omega**2 * r**2
     )
     so = quadratic_data(A_eps, B_eps, r, lam, psi0, model)
-    return cubic_stage(A_eps, B_eps, r, lam, psi0, so)
+    return cubic_stage(A_eps, B_eps, psi0, so)
 
 
 def w21_estimate(st: CubicStage) -> complex:

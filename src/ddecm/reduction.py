@@ -106,16 +106,16 @@ _SWEEP_PARAMS = {f"C{j},{k}": (j, k) for j, k in _VALID_KEYS}
 
 def check_sweep(param: str, lo: float, hi: float, n_points: int) -> tuple[int, int]:
     """(j, k) of a ``"Cj,k"`` sweep parameter, if ``lo < hi`` with a finite
-    ``hi - lo`` and ``n_points`` is from 2 to ``MAX_SWEEP_POINTS``;
-    ``ValueError`` otherwise.
+    width ``hi - lo`` and midpoint and ``n_points`` is from 2 to
+    ``MAX_SWEEP_POINTS``; ``ValueError`` otherwise.
 
     Only a Taylor coefficient can be swept: moving A, B or r alone leaves
     the Hopf point.
     """
     if not lo < hi:
         raise ValueError(f"sweep range [{lo}, {hi}] is empty")
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"sweep range [{lo}, {hi}] must have a finite width")
+    if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+        raise ValueError(f"sweep range [{lo}, {hi}] must have a finite width and midpoint")
     if not 2 <= n_points <= MAX_SWEEP_POINTS:
         raise ValueError(f"n_points must be from 2 to {MAX_SWEEP_POINTS}, got {n_points}")
     if param not in _SWEEP_PARAMS:

@@ -401,6 +401,8 @@ class TestSweep:
         # both once loaded, then failed in the pipeline naming a coefficient
         ({"param": "C1,1", "min": -math.inf, "max": math.inf, "points": 10}, "[-inf, inf] must have a finite width"),
         ({"param": "C1,1", "min": -1e308, "max": 1e308, "points": 10}, "[-1e+308, 1e+308] must have a finite width"),
+        # a finite width, but the midpoint overflowed to inf
+        ({"param": "C1,1", "min": 1e308, "max": 1.7e308, "points": 10}, "[1e+308, 1.7e+308] must have a finite width"),
     ])
     def test_bad_sweep_block_rejects_the_file(self, tmp_path, capsys, command, sweep, words):
         # the sweep block is validated when the file loads, whichever command reads it

@@ -249,9 +249,10 @@ class TestComputedOnce:
         def counting(name, fn):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
+                result = fn(*args, **kwargs)
                 if name == "cubic_stage":
-                    stage_lams.append(args[3])
-                return fn(*args, **kwargs)
+                    stage_lams.append(result.lam)
+                return result
             return wrapped
 
         for module in (cmcore, perturb, reduction):

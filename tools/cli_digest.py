@@ -1,20 +1,20 @@
 """Digest every CLI run on a fixed set of inputs, to check that a change
 leaves the command line's outputs byte-identical.
 
-    python tools/cli_digest.py TREE OUT.json [--seeds 21 22 23 24]
+    python tools/cli_digest.py TREE OUT.json
     python tools/cli_digest.py --compare A.json B.json
 
 The first form imports ``ddecm`` from ``TREE/src`` and runs, in one process,
 ``analyze``, ``analyze --no-oracle --audit``, ``sweep``, ``perturb-check``,
 ``roots`` and ``simulate`` on ``models/benchmark.json``, ``models/wright.json``
-and ``bench/hopfgen.sample(seed, 60, sweep=True)`` for each seed, and
+and ``bench/hopfgen.sample(seed, 60, sweep=True)`` for seeds 21-24, and
 ``simulate`` alone on ``hopfgen.sample(seed, 48, ks=(0,), signs=(-1,),
 history=hopfgen.SIM_HISTORY)``. The inputs come from this checkout, so two
 trees digested by the same script run on the same files. Each run records
 one digest of its output file's bytes (or its absence), its exit code, its
 stdout and its stderr without ``analyze``'s timing line; a run that raises
 past ``main`` records the exception's type and message in place of the exit
-code. With no seeds only the two bundled models run.
+code. ``digest_tree(tree, ())`` runs the two bundled models alone.
 
 The second form lists the runs whose digests differ, or that only one file
 has, and exits 1 if there are any.
@@ -126,13 +126,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs=2, metavar="PATH", help="TREE OUT.json, or A.json B.json with --compare")
     parser.add_argument("--compare", action="store_true", help="list the runs whose digests differ")
-    parser.add_argument("--seeds", type=int, nargs="*", default=list(DEFAULT_SEEDS),
-                        help="hopfgen seeds (default %(default)s); none runs the bundled models alone")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.paths)
     tree, out = args.paths
-    digests = digest_tree(tree, args.seeds)
+    digests = digest_tree(tree, DEFAULT_SEEDS)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} runs digested", file=sys.stderr)
