@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full reduction: coefficients, w21, oracle gap, l1")
     common(p)
-    p.add_argument("--eps-grid", help="comma-separated decreasing positive floats for the oracle")
+    p.add_argument("--eps-grid", help="comma-separated decreasing floats in (0, 1) for the oracle")
     p.add_argument("--no-oracle", action="store_true", help="skip the perturbation oracle")
     p.add_argument("--audit", action="store_true",
                    help="count characteristic roots with nonnegative real part (closed form)")
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb-check", help="perturbation-oracle estimates, extrapolation and gap")
     common(p)
-    p.add_argument("--eps-grid", help="comma-separated decreasing positive floats")
+    p.add_argument("--eps-grid", help="comma-separated decreasing floats in (0, 1)")
 
     p = sub.add_parser("simulate", help="integrate the delay equation; write a t,x CSV")
     common(p)

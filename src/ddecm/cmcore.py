@@ -147,7 +147,8 @@ def quadratic_data(
     with ``d = rho - lam`` and ``d' = rho - conj(lam)``, and (K, w(-r)) comes
     from the rows ``(-e^{-rho r}, 1)`` and ``(A - rho, B)``. A system counts
     as singular when its determinant is at most 1e-10 at criticality
-    (``mu = 0``) and 1e-12 in a perturbed problem (``mu != 0``).
+    (``mu = 0``) and 1e-12 in a perturbed problem (``mu != 0``). A profile
+    coefficient or f21 that is not finite is ``ValueError``.
     """
     mu = lam.real
     perturbed = mu != 0.0
@@ -201,6 +202,8 @@ def quadratic_data(
         + model.c(1, 2) * (2 * e2mr + e2lr)
         + model.c(0, 3) * (elbr * e2lr)
     )
+    if not cmath.isfinite(f21):
+        raise ValueError(f"f21 must be finite, got {f21!r}: the Taylor coefficients overflow a float")
     return SecondOrder(
         f20=f20, f11=f11, f02=f02, g20=g20, g11=g11, g02=g02,
         w20_0=w20_0, w20_mr=w20_mr,
@@ -222,7 +225,8 @@ def _kernel_integral(terms: Terms, shift: complex, r: float, k: int = 0) -> comp
 
 class CubicStage(NamedTuple):
     """The w21 boundary system at an eigenvalue ``lam = mu + i w`` of
-    x' = A x + B x(t - r), with ``nu = 2 lam + conj(lam)``.
+    x' = A x + B x(t - r), with ``nu = 2 lam + conj(lam)``; ``lam``, ``r``
+    and f21 are read from ``so``, which owns them.
 
     Its rows are ``-e^{-nu r} w21(0) + w21(-r) = R1`` and
     ``-(nu - A) w21(0) + B w21(-r) = R2``, with determinant ``Delta``;
@@ -235,11 +239,8 @@ class CubicStage(NamedTuple):
 
     A: float
     B: float
-    r: float
-    lam: complex
     psi0: complex
     so: SecondOrder
-    f21: complex
     g21: complex
     g12_bar: complex
     i20: complex
@@ -262,7 +263,7 @@ class CubicStage(NamedTuple):
             for c, v, w0 in zip(weights, (self.i20, self.i11, self.i02), (so.w20_0, so.w11_0, so.w02_0))
         )
         return DegeneracyReport(
-            residual_R1=abs(self.B * self.direct - (self.g21 + self.g12_bar - self.f21)),
+            residual_R1=abs(self.B * self.direct - (self.g21 + self.g12_bar - so.f21)),
             residual_R2=res2,
             residual_R3=res3,
             residual_R4=res4,
@@ -280,7 +281,7 @@ class CubicStage(NamedTuple):
         ``-2 s e^{i w s}`` and ``-2 z e^{-i w z}``. Both kernels vanish at 0,
         so each pairing is its B-weighted integral alone.
         """
-        B, r, lam, nu, so = self.B, self.r, self.lam, self.so.nu, self.so
+        B, r, lam, nu, so = self.B, self.so.r, self.so.lam, self.so.nu, self.so
         mu = lam.real
         lamb = lam.conjugate()
         if mu == 0.0:
@@ -308,14 +309,14 @@ class CubicStage(NamedTuple):
         limits, so ``h1 / h2`` is w21(0) arbitrarily close to and at
         criticality.
         """
-        A, B, r, lam = self.A, self.B, self.r, self.lam
+        A, B, r, lam = self.A, self.B, self.so.r, self.so.lam
         mu = lam.real
         if mu == 0.0:
             h2 = 2 * r * lam.imag * 1j - 2 * r * A + 2.0
         else:
             h2 = B * self.so.elr * (-math.expm1(-2 * mu * r) / mu) + 2.0
         pair_rho, *pairs = self.pairings()
-        h1 = self.f21 * pair_rho - sum(c * p for c, p in zip(self.so.forcing_weights, pairs))
+        h1 = self.so.f21 * pair_rho - sum(c * p for c, p in zip(self.so.forcing_weights, pairs))
         return h1, h2
 
 
@@ -343,7 +344,7 @@ def cubic_stage(A: float, B: float, psi0: complex, so: SecondOrder) -> CubicStag
     direct = -g21 * elr * E - (g12_bar / (2 * lam)) * (elbr - enur)
     R1 = direct - enur * sum(c * v for c, v in zip(weights, i))
     R2 = g21 + g12_bar - f21 + sum(c * v for c, v in zip(weights, (so.w20_0, so.w11_0, so.w02_0)))
-    return CubicStage(A, B, r, lam, psi0, so, f21, g21, g12_bar, *i, direct, R1, R2, Delta)
+    return CubicStage(A, B, psi0, so, g21, g12_bar, *i, direct, R1, R2, Delta)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +383,7 @@ def w21_at_zero(stage: CubicStage) -> complex:
 def w21_at_minus_r(stage: CubicStage, w21_0: complex) -> complex:
     """w21(-r) from the first row of the critical ``stage``'s system; the
     second row must hold to 1e-9 relative to R2."""
-    A, B, lam, R2 = stage.A, stage.B, stage.lam, stage.R2
+    A, B, lam, R2 = stage.A, stage.B, stage.so.lam, stage.R2
     value = stage.so.elr * w21_0 + stage.R1
     residual = abs(-(lam - A) * w21_0 + B * value - R2)
     if residual > 1e-9 * (1.0 + abs(R2)):
@@ -401,7 +402,7 @@ def w21_profile(stage: CubicStage, w21_0: complex) -> ExpPoly:
     integrates to coeff / (rho - i w) e^{rho s}; the one at rate i w is
     resonant and yields the secular s e^{i w s} term.
     """
-    so, nu = stage.so, stage.lam
+    so, nu = stage.so, stage.so.lam
     forcing = {nu: stage.g21, -nu: stage.g12_bar}
     for factor, terms in zip(so.forcing_weights, (so.t20, so.t11, so.t02)):
         for c, rate in terms:
@@ -413,7 +414,7 @@ def w21_profile(stage: CubicStage, w21_0: complex) -> ExpPoly:
         terms.append(ExpMonomial(c, rate, 0))
         const -= c
     terms.append(ExpMonomial(const, nu, 0))
-    return ExpPoly(terms, (-stage.r, 0.0))
+    return ExpPoly(terms, (-so.r, 0.0))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class ZeroEigenvalueError(CenterManifoldError):
 
 
 class InconsistentFamilyError(CenterManifoldError):
-    """A perturbation family does not satisfy its defining characteristic equation."""
+    """The perturbation family B_eps = (1 + eps) B leaves the critical pair stable (mu_eps <= 0)."""
 
 
 class InconsistencyError(CenterManifoldError):

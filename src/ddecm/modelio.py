@@ -210,7 +210,7 @@ def report_to_dict(rep: AnalysisReport) -> dict[str, Any]:
             "profiles": {"w20": _poly(so.w20), "w11": _poly(so.w11), "w02": _poly(so.w02)},
         },
         "third_order": {
-            "f21": _c(st.f21), "g21": _c(st.g21), "g12_bar": _c(st.g12_bar),
+            "f21": _c(so.f21), "g21": _c(st.g21), "g12_bar": _c(st.g12_bar),
             "R1": _c(st.R1), "R2": _c(st.R2), "Delta": _c(st.Delta),
             "degeneracy": {
                 "residual_R1": deg.residual_R1,

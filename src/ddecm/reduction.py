@@ -80,9 +80,12 @@ def lyapunov_l1(red: ReducedEquation) -> float:
     if w <= 0:
         raise ValueError("lambda1 must have positive imaginary part")
     g20, g11, g02, g21 = (red.coeff(2, 0), red.coeff(1, 1), red.coeff(0, 2), red.coeff(2, 1))
-    return (
-        (1j / (2.0 * w)) * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0) + g21 / 2.0
-    ).real
+    try:
+        return (
+            (1j / (2.0 * w)) * (g20 * g11 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0) + g21 / 2.0
+        ).real
+    except OverflowError:  # |g11|^2 or |g02|^2 past the float range
+        raise ValueError(f"l1 overflows a float: |g11| = {abs(g11):.3e}, |g02| = {abs(g02):.3e}") from None
 
 
 @dataclass(frozen=True)

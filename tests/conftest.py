@@ -398,8 +398,8 @@ def manifold_history(
 def perturbed_eigenfunctions(st):
     """(phi_eps1, phi_eps2) on [-r, 0] and (Psi_eps1, Psi_eps2) on [0, r] of a
     perturbed ``CubicStage``."""
-    phi1 = ExpPoly.monomial(1.0, st.lam, 0, (-st.r, 0.0))
-    Psi1 = ExpPoly.monomial(st.psi0, -st.lam, 0, (0.0, st.r))
+    phi1 = ExpPoly.monomial(1.0, st.so.lam, 0, (-st.so.r, 0.0))
+    Psi1 = ExpPoly.monomial(st.psi0, -st.so.lam, 0, (0.0, st.so.r))
     return phi1, phi1.conjugate(), Psi1, Psi1.conjugate()
 
 
@@ -419,7 +419,7 @@ def _kernels(lam: complex, r: float):
 
 def regularized_kernels(st):
     """rho_eps on [-r, 0] and rho_tilde_eps on [0, r] of a perturbed ``CubicStage``."""
-    return _kernels(st.lam, st.r)
+    return _kernels(st.so.lam, st.so.r)
 
 
 def _integral_with_scale(poly: ExpPoly) -> tuple[complex, float]:
@@ -439,7 +439,7 @@ def exppoly_stage(st) -> dict:
     ExpPoly product-and-integrate and ``spectral.bilinear``, each as
     (value, scale): the scale is the sum of the magnitudes of what is
     summed, so two summation orders agree to a few ulps of it."""
-    A, B, r, lam, so = st.A, st.B, st.r, st.lam, st.so
+    A, B, r, lam, so = st.A, st.B, st.so.r, st.so.lam, st.so
     mu, w = lam.real, lam.imag
     lamb = lam.conjugate()
     nu = 2 * lam + lamb
@@ -460,10 +460,10 @@ def exppoly_stage(st) -> dict:
     factors = (2 * so.g11, so.g20 + 2 * gb11, gb02)
     R1 = sum(direct) - sum(c * enur * v for c, (v, _) in zip(factors, i))
     R1_scale = sum(map(abs, direct)) + sum(abs(c * enur) * sc for c, (_, sc) in zip(factors, i))
-    R2_parts = (st.g21, st.g12_bar, -st.f21) + tuple(
+    R2_parts = (st.g21, st.g12_bar, -st.so.f21) + tuple(
         c * v for c, v in zip(factors, (so.w20_0, so.w11_0, so.w02_0)))
-    h1 = st.f21 * pairings[0][0] - sum(c * v for c, (v, _) in zip(factors, pairings[1:]))
-    h1_scale = abs(st.f21) * pairings[0][1] + sum(abs(c) * sc for c, (_, sc) in zip(factors, pairings[1:]))
+    h1 = st.so.f21 * pairings[0][0] - sum(c * v for c, (v, _) in zip(factors, pairings[1:]))
+    h1_scale = abs(st.so.f21) * pairings[0][1] + sum(abs(c) * sc for c, (_, sc) in zip(factors, pairings[1:]))
     return {
         "i": i,
         "pairings": pairings,

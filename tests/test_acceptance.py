@@ -152,14 +152,14 @@ class TestAcceptance:
             worst_w = max(worst_w, abs(bilinear(ef.psi2, prof, bench_lin)))
             worst_w = max(worst_w, abs(bilinear(ef.psi1, prof, bench_lin)))
         for eps in (1e-2, 1e-3):
-            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
-            lin = LinearPart(pc.A, pc.B, pc.r)
+            pc = perturbed_stage(bench_model_c1, bench_eig, eps)
+            lin = LinearPart(pc.A, pc.B, pc.so.r)
             phi1, phi2, Psi1, Psi2 = perturbed_eigenfunctions(pc)
             for i, Psi in ((1, Psi1), (2, Psi2)):
                 for j, phi in ((1, phi1), (2, phi2)):
                     got = bilinear(Psi, phi, lin)
                     worst_pair = max(worst_pair, abs(got - (1.0 if i == j else 0.0)))
-            psi1 = ExpPoly.monomial(1.0, -pc.lam, 0, (0.0, pc.r))
+            psi1 = ExpPoly.monomial(1.0, -pc.so.lam, 0, (0.0, pc.so.r))
             for prof in (pc.so.w20, pc.so.w11, pc.so.w02):
                 worst_w = max(worst_w, abs(bilinear(psi1, prof, lin)))
                 worst_w = max(worst_w, abs(bilinear(psi1.conjugate(), prof, lin)))
@@ -184,7 +184,7 @@ class TestAcceptance:
         # direct solve vs h-ratio
         ok_paths = True
         for eps in (1e-2, 1e-3, 1e-4):
-            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+            pc = perturbed_stage(bench_model_c1, bench_eig, eps)
             direct = (pc.B * pc.R1 - pc.R2) / pc.Delta
             h1, h2 = pc.h()
             ok_paths &= abs(direct - h1 / h2) <= 1e-9 * abs(direct)
@@ -192,7 +192,7 @@ class TestAcceptance:
         limit = 2 * R2_R * R2_OMEGA * 1j - 2 * R2_R * bench_lin.A + 2.0
         h2_gaps = []
         for eps in DEFAULT_EPS_GRID:
-            pc = perturbed_stage(bench_model_c1, R2_OMEGA, eps)
+            pc = perturbed_stage(bench_model_c1, bench_eig, eps)
             _, h2 = pc.h()
             h2_gaps.append(abs(h2 - limit))
         ok_h2 = all(b < a for a, b in zip(h2_gaps, h2_gaps[1:]))

@@ -412,6 +412,13 @@ class TestSweep:
         assert err.startswith("error[ModelFileError]: ") and words in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_coefficient_exit_1(self, tmp_path, capsys):
+        # at C1,1 = 1e200 this sweep once raised OverflowError from l1's |g11|^2
+        model = write_model(tmp_path, sweep={"param": "C1,1", "min": 1e200, "max": 2e200, "points": 10})
+        assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: f21 must be finite")
+        assert not (tmp_path / "s.csv").exists()
+
     def test_empty_template_empty_roots(self, tmp_path):
         model = write_model(
             tmp_path, C={}, sweep={"param": "C1,1", "min": 3.0, "max": 4.0, "points": 20}
@@ -458,6 +465,26 @@ class TestPerturbCheck:
         assert main(argv + ["--eps-grid", "1e-2,nan,1e-3"]) == 1
         assert main(argv + ["--eps-grid", "1e-2,x,1e-3"]) == 1
         assert capsys.readouterr().err.count("error[ModelFileError]") == 3
+
+    @pytest.mark.parametrize("command", ["perturb-check", "analyze"])
+    def test_overflowing_coefficient_exit_1(self, tmp_path, capsys, command):
+        # perturb-check once wrote "gap": NaN and exited 0
+        model = write_model(tmp_path, C={"1,1": 1e200})
+        assert main([command, "--model", model, "--out", str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err.startswith("error[ValueError]: f21 must be finite")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("grid", [[1e300, 5e299, 2.5e299], [10.0, 5.0, 2.5], [2.0, 1.0, 0.5]])
+    def test_grid_entry_not_below_one_exit_1(self, tmp_path, capsys, grid):
+        # at eps >= 1 (1 + eps) B is no perturbation; 1e300 once overflowed in exppoly.moment
+        model = write_model(tmp_path, perturb={"eps_grid": grid})
+        assert main(["perturb-check", "--model", model, "--out", str(tmp_path / "c.json")]) == 1
+        model = write_model(tmp_path, name="plain.json")
+        argv = ["perturb-check", "--model", model, "--out", str(tmp_path / "c.json")]
+        assert main(argv + ["--eps-grid", ",".join(map(repr, grid))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error[ModelFileError]") == 2 and err.count("below 1") == 2
+        assert not (tmp_path / "c.json").exists()
 
     def test_cli_grid_override(self, tmp_path):
         model = write_model(tmp_path)

@@ -12,6 +12,7 @@ nothing from ddecm, reproduces the same four numbers to 1e-9 (checked in
 """
 
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -19,7 +20,9 @@ import pytest
 import ddecm.cmcore as cmcore
 from ddecm.chareq import LinearPart, verify_hopf
 from ddecm.cmcore import (
+    CubicStage,
     ModelSpec,
+    SecondOrder,
     degeneracy_report,
     quadratic_data,
     second_order,
@@ -157,7 +160,7 @@ def _fake_eig(lin: LinearPart, omega: float) -> EigenData:
 class TestThirdOrderRhs:
     def test_trivial_model(self, bench_lin, bench_eig):
         so, rhs = pipeline(ModelSpec(bench_lin, {}), bench_eig)
-        assert rhs.f21 == rhs.g21 == rhs.R1 == rhs.R2 == 0
+        assert rhs.so.f21 == rhs.g21 == rhs.R1 == rhs.R2 == 0
 
     def test_dependence_identity(self, bench_model_c1, bench_lin, bench_eig):
         so, rhs = pipeline(bench_model_c1, bench_eig)
@@ -176,7 +179,7 @@ class TestThirdOrderRhs:
 
     def test_g12_bar_is_conjugate_normalized(self, bench_model_c1, bench_eig):
         _, rhs = pipeline(bench_model_c1, bench_eig)
-        want = bench_eig.Psi1_at_0.conjugate() * rhs.f21
+        want = bench_eig.Psi1_at_0.conjugate() * rhs.so.f21
         assert abs(rhs.g12_bar - want) == 0.0
 
 
@@ -363,13 +366,18 @@ CUBIC_C = {(2, 0): 1.3, (1, 1): -0.7, (0, 2): 0.4, (3, 0): 0.9, (2, 1): -1.1, (1
 def _curve_stage(omega, theta, k, eps):
     """The critical cubic stage (eps None) or the perturbed one at eps."""
     model = hopf_curve_model(omega, theta, k, CUBIC_C)
-    if eps is not None:
-        return perturbed_stage(model, omega, eps)
     eig = build_eigendata(model.lin, verify_hopf(model.lin, omega))
+    if eps is not None:
+        return perturbed_stage(model, eig, eps)
     return third_order_rhs(model, eig, second_order(model, eig))
 
 
 class TestCubicStage:
+    def test_stores_nothing_second_order_owns(self):
+        # lam, r and f21 live on SecondOrder alone, so a stage cannot pair one
+        # eigenvalue's data with another's
+        assert not set(CubicStage._fields) & {f.name for f in dataclasses.fields(SecondOrder)}
+
     @pytest.mark.parametrize("eps", [None, 1e-2, 1e-4])
     @pytest.mark.parametrize("omega,theta,k", CURVE_POINTS)
     def test_scalar_forms_match_exppoly_route(self, omega, theta, k, eps):

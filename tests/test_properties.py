@@ -57,9 +57,9 @@ def test_rows_dependent(theta, k, omega, C):
     stage, deg = rep.third.stage, rep.degeneracy
     B, so = stage.B, stage.so
     assert deg.BR1_minus_R2 <= 1e-10 * (abs(B * stage.R1) + abs(stage.R2))
-    scale = abs(B * stage.direct) + abs(stage.g21) + abs(stage.g12_bar) + abs(stage.f21)
+    scale = abs(B * stage.direct) + abs(stage.g21) + abs(stage.g12_bar) + abs(stage.so.f21)
     assert deg.residual_R1 <= 1e-10 * scale
-    enur = cmath.exp(-(2 * stage.lam + stage.lam.conjugate()) * stage.r)
+    enur = cmath.exp(-(2 * stage.so.lam + stage.so.lam.conjugate()) * stage.so.r)
     for res, c, i, w0 in zip(
         (deg.residual_R2, deg.residual_R3, deg.residual_R4), so.forcing_weights,
         (stage.i20, stage.i11, stage.i02), (so.w20_0, so.w11_0, so.w02_0),

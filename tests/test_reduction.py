@@ -76,6 +76,12 @@ class TestLyapunov:
         with pytest.raises(ValueError):
             lyapunov_l1(ReducedEquation(0.1 + 1j, {}))
 
+    @pytest.mark.parametrize("key", [(1, 1), (0, 2)])
+    def test_overflow_is_value_error(self, key):
+        # |g|^2 past the float range once escaped as OverflowError
+        with pytest.raises(ValueError, match="l1 overflows a float"):
+            lyapunov_l1(ReducedEquation(1j, {key: 1e200}))
+
     @pytest.mark.parametrize("model", HOPF_FAMILY)
     def test_agrees_with_collocation(self, model):
         # an independent route: the l1 of a Chebyshev collocation of the DDE,
@@ -251,7 +257,7 @@ class TestComputedOnce:
                 calls[name] += 1
                 result = fn(*args, **kwargs)
                 if name == "cubic_stage":
-                    stage_lams.append(result.lam)
+                    stage_lams.append(result.so.lam)
                 return result
             return wrapped
 
@@ -289,7 +295,7 @@ class TestComputedOnce:
         third_order(model, eig, so, stage)
         assert len(exp_calls) == 5
         exp_calls.clear()
-        perturb.perturbed_stage(model, eig.omega, 1e-2)
+        perturb.perturbed_stage(model, eig, 1e-2)
         assert len(exp_calls) == 5
         exp_calls.clear()
         assemble_reduced(model, eig, second_order(model, eig))  # one sweep node

@@ -9,12 +9,15 @@ The first form imports ``ddecm`` from ``TREE/src`` and runs, in one process,
 ``roots`` and ``simulate`` on ``models/benchmark.json``, ``models/wright.json``
 and ``bench/hopfgen.sample(seed, 60, sweep=True)`` for seeds 21-24, and
 ``simulate`` alone on ``hopfgen.sample(seed, 48, ks=(0,), signs=(-1,),
-history=hopfgen.SIM_HISTORY)``. The inputs come from this checkout, so two
+history=hopfgen.SIM_HISTORY)``, and a fixed error group: edits of
+``models/benchmark.json`` (``ERROR_EDITS``) on which the named subcommands
+fail or pass only at ``--tol 1``. The inputs come from this checkout, so two
 trees digested by the same script run on the same files. Each run records
 one digest of its output file's bytes (or its absence), its exit code, its
 stdout and its stderr without ``analyze``'s timing line; a run that raises
 past ``main`` records the exception's type and message in place of the exit
-code. ``digest_tree(tree, ())`` runs the two bundled models alone.
+code. ``digest_tree(tree, ())`` runs the two bundled models and the error
+group alone.
 
 The second form lists the runs whose digests differ, or that only one file
 has, and exits 1 if there are any.
@@ -42,6 +45,18 @@ SUBCOMMANDS = (
     ("roots", []),
     ("simulate", []),
 )
+LOOSE = ["--tol", "1"]
+# (file name, top-level keys replaced in the bundled benchmark model, subcommands)
+ERROR_EDITS = (
+    ("sweep_overflow", {"sweep": {"param": "C1,1", "min": 1e200, "max": 2e200, "points": 200}}, [("sweep", [])]),
+    ("c_overflow", {"C": {"1,1": 1e200}}, [("analyze", []), ("perturb-check", [])]),
+    ("eps_huge", {"perturb": {"eps_grid": [1e300, 5e299, 2.5e299]}}, [("perturb-check", [])]),
+    ("eps_tiny", {"perturb": {"eps_grid": [1e-300, 5e-301, 2.5e-301]}}, [("perturb-check", [])]),
+    ("off_curve", {"A": 0.3}, [("analyze", LOOSE), ("perturb-check", LOOSE), ("roots", LOOSE)]),
+    ("nan_history", {"sim": {"history": float("nan")}}, [("simulate", [])]),
+    ("sweep_param", {"sweep": {"param": "C+1,+1", "min": -4.0, "max": 4.0, "points": 200}}, [("sweep", [])]),
+    ("b_below_a", {"A": -1.2}, [("analyze", []), ("roots", [])]),
+)
 
 
 def write_inputs(directory: str, seeds) -> list[tuple[str, list[tuple[str, list[str]]]]]:
@@ -56,6 +71,14 @@ def write_inputs(directory: str, seeds) -> list[tuple[str, list[tuple[str, list[
         with open(os.path.join(directory, name + ".json"), "w", encoding="utf-8") as fh:
             fh.write(text)
         runs.append((name + ".json", list(SUBCOMMANDS)))
+    os.makedirs(os.path.join(directory, "errors"))
+    with open(os.path.join(HERE, "models", "benchmark.json"), encoding="utf-8") as fh:
+        bundled = json.load(fh)
+    for name, edit, commands in ERROR_EDITS:
+        path = os.path.join("errors", name + ".json")
+        with open(os.path.join(directory, path), "w", encoding="utf-8") as fh:
+            json.dump({**bundled, **edit}, fh)
+        runs.append((path, commands))
     for seed in seeds:
         for group, items, commands in (
             ("all", hopfgen.sample(seed, 60, sweep=True), list(SUBCOMMANDS)),
