@@ -100,11 +100,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     res = sweep_l1_zeros(
         mf.model, mf.sweep.param, mf.sweep.lo, mf.sweep.hi, mf.sweep.points, tol=args.tol,
     )
-    lines = [("# roots = " + " ".join(f"{root:.12g}" for root in res.roots)).rstrip()]
-    lines.append(f"{res.param},l1")
+    roots = " ".join(f"{root:.12g}" for root in res.roots)
+    lines = [f"# roots = {roots}".rstrip(), f"{res.param},l1"]
     lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(res.grid, res.values))
     _write(args.out, "\n".join(lines) + "\n")
-    print(f"sweep: {len(res.roots)} root(s): {[round(r, 6) for r in res.roots]}", file=sys.stderr)
+    print(f"sweep: {len(res.roots)} root(s): {roots}".rstrip(), file=sys.stderr)
     return 0
 
 

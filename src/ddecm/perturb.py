@@ -48,12 +48,15 @@ def perturbed_stage(model: ModelSpec, eig: EigenData, eps: float) -> CubicStage:
     at the verified omega of ``eig``. mu_eps solves the imaginary part of the
     perturbed characteristic equation and A_eps is defined from its real part,
     so lam_eps is a root by construction; mu_eps <= 0 is InconsistentFamilyError.
+    An eps that leaves B (1 + eps) equal to B is ``ValueError``.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     B, r, omega = model.lin.B, model.lin.r, eig.omega
     s, c = math.sin(omega * r), math.cos(omega * r)
     B_eps = B * (1.0 + eps)
+    if B_eps == B:
+        raise ValueError(f"eps = {eps!r} is below the float resolution of B (1 + eps) at B = {B!r}")
     arg = -B_eps * s / omega
     if arg <= 1.0:
         raise InconsistentFamilyError(

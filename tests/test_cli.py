@@ -12,11 +12,11 @@ import pytest
 import ddecm.cli as cli
 import ddecm.reduction as reduction
 from ddecm.cli import main
-from ddecm.cmcore import second_order
+from ddecm.cmcore import ModelSpec
 from ddecm.ddesim import MAX_SIM_STEPS, SimConfig, integrate_dde
 from ddecm.errors import ModelFileError
 from ddecm.modelio import DEFAULT_SIM_HISTORY, dump_json, load_model_file, parse_model_document
-from ddecm.reduction import lyapunov_l1
+from ddecm.reduction import analyze_model
 
 from conftest import C1, C2, R2_R, SUPERCRITICAL_C, collocation_manifold, hopf_curve_model, report_drift
 from test_cmcore import W21_0_C1
@@ -89,6 +89,9 @@ class TestModelFile:
             parse_model_document({**base, "sweep": {"param": "C1,1", "min": 2, "max": -2, "points": 10}})
         with pytest.raises(ModelFileError):
             parse_model_document({**base, "sweep": {"param": "C1,1", "min": -2, "max": 2, "points": 1}})
+        # a finite width is enough, though the midpoint overflows
+        mf = parse_model_document({**base, "sweep": {"param": "C1,1", "min": 1e308, "max": 1.7e308, "points": 10}})
+        assert (mf.sweep.lo, mf.sweep.hi) == (1e308, 1.7e308)
 
     def test_sweep_points_cap(self):
         base = {"A": 0, "B": -1, "r": 1.0}
@@ -350,22 +353,6 @@ class TestSweep:
             texts.append((tmp_path / name).read_bytes())
         assert texts[0] == texts[1]
 
-    def test_failed_quadratic_check_exit_2(self, tmp_path, capsys, monkeypatch):
-        # a cubic term in the swept value breaks the fourth evaluation's check
-        swept = []
-
-        def recording(model, eig):
-            swept.append(model.c(1, 1))
-            return second_order(model, eig)
-
-        monkeypatch.setattr(reduction, "second_order", recording)
-        monkeypatch.setattr(reduction, "lyapunov_l1", lambda red: lyapunov_l1(red) + 1e-6 * swept[-1] ** 3)
-        model = write_model(
-            tmp_path, C={"2,0": 2.0}, sweep={"param": "C1,1", "min": -4.0, "max": 4.0, "points": 20}
-        )
-        assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 2
-        assert "error[InconsistencyError]" in capsys.readouterr().err
-
     def test_points_beyond_cap_exit_1(self, tmp_path, capsys, monkeypatch):
         # the model file is rejected before the sweep builds anything
         swept = []
@@ -401,8 +388,6 @@ class TestSweep:
         # both once loaded, then failed in the pipeline naming a coefficient
         ({"param": "C1,1", "min": -math.inf, "max": math.inf, "points": 10}, "[-inf, inf] must have a finite width"),
         ({"param": "C1,1", "min": -1e308, "max": 1e308, "points": 10}, "[-1e+308, 1e+308] must have a finite width"),
-        # a finite width, but the midpoint overflowed to inf
-        ({"param": "C1,1", "min": 1e308, "max": 1.7e308, "points": 10}, "[1e+308, 1.7e+308] must have a finite width"),
     ])
     def test_bad_sweep_block_rejects_the_file(self, tmp_path, capsys, command, sweep, words):
         # the sweep block is validated when the file loads, whichever command reads it
@@ -413,11 +398,39 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_coefficient_exit_1(self, tmp_path, capsys):
-        # at C1,1 = 1e200 this sweep once raised OverflowError from l1's |g11|^2
-        model = write_model(tmp_path, sweep={"param": "C1,1", "min": 1e200, "max": 2e200, "points": 10})
-        assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error[ValueError]: f21 must be finite")
-        assert not (tmp_path / "s.csv").exists()
+        # at C1,1 = 1e200 this sweep once raised OverflowError from l1's |g11|^2;
+        # 1e308..1.7e308 loads (only its midpoint overflows) and fails the same way
+        for lo, hi in [(1e200, 2e200), (1e308, 1.7e308)]:
+            model = write_model(tmp_path, sweep={"param": "C1,1", "min": lo, "max": hi, "points": 10})
+            assert main(["sweep", "--model", model, "--out", str(tmp_path / "s.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[ValueError]: l1 = ") and f"leaves the floats at C1,1 = c = {lo!r}\n" in err
+            assert not (tmp_path / "s.csv").exists()
+
+    # over a range far wider than the root scale, the roots are l1's zeros to
+    # rounding: a fit through lo, mid and hi once reported 5e+307 for C0,3,
+    # 8e+307 for C2,1, no root for C1,1 and +-7.774e-06 for C0,2
+    @pytest.mark.parametrize("param,lo,hi,want", [
+        ("C0,3", -0.1, 1e308, "1.17567855784e-10"),
+        ("C2,1", 1e307, 1.5e308, ""),
+        ("C1,1", -0.1, 1e150, "1.52799631113"),
+        ("C0,2", -1e100, 1e100, "-0.46079517669 1.31154276762e-10"),
+    ], ids=["C0,3", "C2,1", "C1,1", "C0,2"])
+    def test_wide_range_roots(self, tmp_path, param, lo, hi, want):
+        model = os.path.join(ROOT, "models", "benchmark.json")
+        doc = {**json.loads(open(model).read()), "sweep": {"param": param, "min": lo, "max": hi, "points": 3}}
+        (tmp_path / "wide.json").write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--model", str(tmp_path / "wide.json"), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# roots = {want}".rstrip()
+        assert all(math.isfinite(float(v)) for line in lines[2:] for v in line.split(",")[-2:])
+        base = load_model_file(model).model
+        key = reduction.check_sweep(param, lo, hi, 3)
+        for root in map(float, want.split()):
+            rep = analyze_model(ModelSpec(base.lin, {**base.C, key: root}, omega_hint=base.omega_hint), eps_grid=None)
+            scale = abs(rep.third.stage.g21) + abs(rep.so.g20 * rep.so.g11) / rep.hopf.omega
+            assert abs(rep.l1) <= 1e-12 * scale
 
     def test_empty_template_empty_roots(self, tmp_path):
         model = write_model(

@@ -62,6 +62,10 @@ class TestMakePerturbed:
     def test_negative_eps_rejected(self, bench_lin, bench_eig):
         with pytest.raises(ValueError):
             perturbed_stage(ModelSpec(bench_lin, {}), bench_eig, -0.1)
+        # B (1 + eps) == B is no family member; it once blamed the family,
+        # with InconsistentFamilyError (exit 2)
+        with pytest.raises(ValueError, match="eps = 1e-16 is below the float resolution"):
+            perturbed_stage(ModelSpec(bench_lin, {}), bench_eig, 1e-16)
 
     def test_shrinking_family_fails(self):
         # |F(i)| = 5e-9 passes a Hopf check at tol 1e-8, but at eps = 1e-9 the

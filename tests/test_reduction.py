@@ -12,7 +12,6 @@ import ddecm.perturb as perturb
 import ddecm.reduction as reduction
 from ddecm.chareq import HOPF_TOL, find_critical_frequency
 from ddecm.cmcore import ModelSpec, degeneracy_report, second_order, third_order, third_order_rhs
-from ddecm.errors import InconsistencyError
 from ddecm.exppoly import ExpPoly
 from ddecm.modelio import dump_json, report_to_dict
 from ddecm.perturb import DEFAULT_EPS_GRID, extrapolate_w21
@@ -100,6 +99,12 @@ class TestSweep:
         assert len(res.roots) == 2
         assert res.roots[0] == pytest.approx(C2, abs=1e-5)
         assert res.roots[1] == pytest.approx(C1, abs=1e-5)
+        # l1 is homogeneous of degree two in the quadratic coefficients, so the
+        # roots scale with the template, to rounding at any scale
+        for scale in (1e-6, 1e6):
+            template = ModelSpec(bench_lin, {(2, 0): 2.0 * scale}, omega_hint=1.0)
+            scaled = sweep_l1_zeros(template, "C1,1", -4.0 * scale, 4.0 * scale, 200)
+            assert [x / scale for x in scaled.roots] == pytest.approx(res.roots, rel=1e-13)
 
     def test_grid_density_invariance(self, bench_lin):
         template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
@@ -141,17 +146,21 @@ class TestSweep:
             sweep_l1_zeros(ModelSpec(bench_lin, {}), param, -1.2, -0.8, 10)
 
     def test_grid_values_match_pointwise_evaluation(self, bench_lin):
-        # grid values come from the fitted quadratic; each must agree with the
-        # whole public pipeline run at that point
-        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
-        res = sweep_l1_zeros(template, "C1,1", -4.0, 4.0, 200)
-        pointwise = []
-        for c in res.grid:
-            model = ModelSpec(bench_lin, {(2, 0): 2.0, (1, 1): c}, omega_hint=1.0)
-            eig = build_eigendata(model.lin, find_critical_frequency(model.lin, model.omega_hint))
-            pointwise.append(lyapunov_l1(assemble_reduced(model, eig, second_order(model, eig))))
-        scale = max(abs(v) for v in pointwise)
-        assert max(abs(v - p) for v, p in zip(res.values, pointwise)) <= 1e-12 * scale
+        # grid values come from the polynomial; each must agree with the whole
+        # public pipeline run at that point, on the bundled model and on every
+        # key of the Hopf family
+        cases = [(ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0), "C1,1", 200)]
+        cases += [(model, f"C{j},{k}", 9) for model in HOPF_FAMILY for j, k in cmcore._VALID_KEYS]
+        for template, param, n_points in cases:
+            res = sweep_l1_zeros(template, param, -4.0, 4.0, n_points)
+            key = reduction.check_sweep(param, -4.0, 4.0, n_points)
+            pointwise = []
+            for c in res.grid:
+                model = ModelSpec(template.lin, {**template.C, key: c}, omega_hint=template.omega_hint)
+                eig = build_eigendata(model.lin, find_critical_frequency(model.lin, model.omega_hint))
+                pointwise.append(lyapunov_l1(assemble_reduced(model, eig, second_order(model, eig))))
+            scale = max(abs(v) for v in pointwise)
+            assert max(abs(v - p) for v, p in zip(res.values, pointwise)) <= 1e-12 * scale, (template, param)
 
     def test_root_pair_inside_one_grid_cell(self, bench_lin):
         # with 2 points the whole range is one cell holding both zeros
@@ -162,35 +171,28 @@ class TestSweep:
 
     @pytest.mark.parametrize("n_points", [2, 7, 200])
     def test_four_evaluations_whatever_the_grid(self, bench_lin, monkeypatch, n_points):
+        # the polynomial's coefficients take l1 at Cj,k = 0 and at the model
+        # whose only coefficient is Cj,k = 1, and for a quadratic key also at
+        # Cj,k = s in the template, s = 2 the size of C2,0: 3 runs, or 2 for
+        # a cubic key
         calls = []
 
         def counting(model, eig):
-            calls.append(model.c(1, 1))
+            calls.append(model.C)
             return second_order(model, eig)
 
         monkeypatch.setattr(reduction, "second_order", counting)
-        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
+        template = ModelSpec(bench_lin, {(2, 0): 2.0, (0, 3): 0.5}, omega_hint=1.0)
         sweep_l1_zeros(template, "C1,1", -4.0, 4.0, n_points)
-        assert sorted(calls) == [-4.0, -2.0, 0.0, 4.0]
+        assert calls == [{(2, 0): 2.0, (0, 3): 0.5}, {(1, 1): 1.0}, {(2, 0): 2.0, (0, 3): 0.5, (1, 1): 2.0}]
+        calls.clear()
+        sweep_l1_zeros(template, "C0,3", -4.0, 4.0, n_points)
+        assert calls == [{(2, 0): 2.0}, {(0, 3): 1.0}]
 
     def test_single_root_in_range(self, bench_lin):
         template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
         res = sweep_l1_zeros(template, "C1,1", 0.0, 4.0, 5)
         assert res.roots == pytest.approx((C1,), abs=1e-9)
-
-    def test_not_quadratic_raises(self, bench_lin, monkeypatch):
-        # a cubic term in the swept value breaks the fourth evaluation's check
-        swept = []
-
-        def recording(model, eig):
-            swept.append(model.c(1, 1))
-            return second_order(model, eig)
-
-        monkeypatch.setattr(reduction, "second_order", recording)
-        monkeypatch.setattr(reduction, "lyapunov_l1", lambda red: lyapunov_l1(red) + 1e-6 * swept[-1] ** 3)
-        template = ModelSpec(bench_lin, {(2, 0): 2.0}, omega_hint=1.0)
-        with pytest.raises(InconsistencyError, match="not quadratic in C1,1"):
-            sweep_l1_zeros(template, "C1,1", -4.0, 4.0, 200)
 
 
 class TestAnalyzeReport:

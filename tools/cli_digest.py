@@ -9,14 +9,16 @@ The first form imports ``ddecm`` from ``TREE/src`` and runs, in one process,
 ``roots`` and ``simulate`` on ``models/benchmark.json``, ``models/wright.json``
 and ``bench/hopfgen.sample(seed, 60, sweep=True)`` for seeds 21-24, and
 ``simulate`` alone on ``hopfgen.sample(seed, 48, ks=(0,), signs=(-1,),
-history=hopfgen.SIM_HISTORY)``, and a fixed error group: edits of
+history=hopfgen.SIM_HISTORY)``, and a fixed edit group: edits of
 ``models/benchmark.json`` (``ERROR_EDITS``) on which the named subcommands
-fail or pass only at ``--tol 1``. The inputs come from this checkout, so two
+fail or pass only at ``--tol 1``. The group now holds edge runs too:
+``sweep`` over ranges far wider than the roots, which must exit 0. The
+inputs come from this checkout, so two
 trees digested by the same script run on the same files. Each run records
 one digest of its output file's bytes (or its absence), its exit code, its
 stdout and its stderr without ``analyze``'s timing line; a run that raises
 past ``main`` records the exception's type and message in place of the exit
-code. ``digest_tree(tree, ())`` runs the two bundled models and the error
+code. ``digest_tree(tree, ())`` runs the two bundled models and the edit
 group alone.
 
 The second form lists the runs whose digests differ, or that only one file
@@ -56,6 +58,10 @@ ERROR_EDITS = (
     ("nan_history", {"sim": {"history": float("nan")}}, [("simulate", [])]),
     ("sweep_param", {"sweep": {"param": "C+1,+1", "min": -4.0, "max": 4.0, "points": 200}}, [("sweep", [])]),
     ("b_below_a", {"A": -1.2}, [("analyze", []), ("roots", [])]),
+    ("sweep_wide_c03", {"sweep": {"param": "C0,3", "min": -0.1, "max": 1e308, "points": 3}}, [("sweep", [])]),
+    ("sweep_wide_c21", {"sweep": {"param": "C2,1", "min": 1e307, "max": 1.5e308, "points": 3}}, [("sweep", [])]),
+    ("sweep_wide_c11", {"sweep": {"param": "C1,1", "min": -0.1, "max": 1e150, "points": 3}}, [("sweep", [])]),
+    ("sweep_wide_c02", {"sweep": {"param": "C0,2", "min": -1e100, "max": 1e100, "points": 3}}, [("sweep", [])]),
 )
 
 
